@@ -67,7 +67,6 @@ from .lattice import (
     PowersetLattice,
     is_monotone,
     lfp,
-    verify_lattice,
 )
 from .lp import (
     LogicProgram,

@@ -142,12 +142,6 @@ class Approximator:
         lo, hi = self.apply(p.lower, p.upper)
         return ApproxPair(self.lattice, lo, hi)
 
-    def pair(self, lower: Element, upper: Element) -> ApproxPair:
-        return ApproxPair(self.lattice, lower, upper)
-
-    def least_precise(self) -> ApproxPair:
-        return ApproxPair(self.lattice, self.lattice.bottom, self.lattice.top)
-
     def domain(self) -> Iterator[RawPair]:
         """All pairs this operator is defined on, as raw tuples."""
         if self.consistent_only:

@@ -19,12 +19,10 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 
 from .adf import adf_approximator, parse_adf
 from .approx import (
     Approximator,
-    ApproxPair,
     brackets_operator,
     is_exact_approximator,
     is_precision_monotone,
@@ -51,18 +49,23 @@ from .fixpoints import (
     well_founded,
 )
 from .lattice import PowersetLattice
-from .lp import fitting, parse_program, program_lattice, tp
+from .lp import fitting, parse_program, program_lattice
 
-SEMANTICS = (
-    "kk",
-    "wf",
-    "supported",
-    "stable",
-    "partial-stable",
-    "ultimate-kk",
-    "ultimate-wf",
-    "convex-kk",
-)
+# Each semantics by name, in output order: the kind of its result and a
+# function (approximator, lattice) -> (result, trace or None). A "pair" is an
+# ApproxPair, "sets" a set of elements, "pairs" a set of ApproxPairs and
+# "convex" a convex set. The functions look the engine's names up when called,
+# so a module global replaced after import (by a tracer, say) is the one used.
+SEMANTICS = {
+    "kk": ("pair", lambda a, lat: kripke_kleene(a)),
+    "wf": ("pair", lambda a, lat: well_founded(a)),
+    "supported": ("sets", lambda a, lat: (supported_fixpoints(a), None)),
+    "stable": ("sets", lambda a, lat: (stable_models(a), None)),
+    "partial-stable": ("pairs", lambda a, lat: (partial_stable_fixpoints(a), None)),
+    "ultimate-kk": ("pair", lambda a, lat: kripke_kleene(ultimate(lat, a.operator))),
+    "ultimate-wf": ("pair", lambda a, lat: well_founded(ultimate(lat, a.operator))),
+    "convex-kk": ("convex", lambda a, lat: convex_kripke_kleene(lat, a.operator)),
+}
 
 _INPUT_ERRORS = (
     ParseError,
@@ -73,19 +76,6 @@ _INPUT_ERRORS = (
     OSError,
     ValueError,
 )
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation of the run command."""
-
-    frontend: str
-    source: str
-    semantics: tuple[str, ...]
-    fmt: str = "text"
-    trace: bool = False
-    validate: bool = False
-    seed: int = DEFAULT_SEED
 
 
 def _read_source(source: str) -> str:
@@ -100,7 +90,7 @@ def _parse_semantics(raw: str) -> tuple[str, ...]:
     if not names:
         raise ValueError("at least one semantics must be selected")
     if "all" in names:
-        return SEMANTICS
+        return tuple(SEMANTICS)
     for n in names:
         if n not in SEMANTICS:
             raise ValueError(f"unknown semantics {n!r}; choose from {', '.join(SEMANTICS)} or all")
@@ -122,136 +112,83 @@ def _load_frontend(frontend: str, text: str):
 # -- rendering ---------------------------------------------------------------
 
 
-def _set_text(members) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
-
-
-def _sets_text(sets) -> str:
-    if not sets:
-        return "(none)"
-    return ", ".join(_set_text(m) for m in sorted(sets, key=lambda m: tuple(sorted(m))))
-
-
-def _assignment(pair: ApproxPair, atoms) -> dict:
-    out = {}
+def _pair_json(pair, atoms) -> dict:
+    assignment = {}
     for a in atoms:
         if a in pair.lower:
-            out[a] = "true"
+            assignment[a] = "true"
         elif a not in pair.upper:
-            out[a] = "false"
+            assignment[a] = "false"
         else:
-            out[a] = "unknown"
-    return out
-
-
-def _assignment_text(pair: ApproxPair, atoms) -> str:
-    if not atoms:
-        return "(no atoms)"
-    return ", ".join(f"{a}: {v}" for a, v in _assignment(pair, atoms).items())
-
-
-def _pair_json(pair: ApproxPair, atoms) -> dict:
-    return {
-        "lower": sorted(pair.lower),
-        "upper": sorted(pair.upper),
-        "assignment": _assignment(pair, atoms),
-    }
+            assignment[a] = "unknown"
+    return {"lower": sorted(pair.lower), "upper": sorted(pair.upper), "assignment": assignment}
 
 
 def _sets_json(sets) -> list:
     return sorted((sorted(m) for m in sets), key=tuple)
 
 
-def _pairs_json(pairs, atoms) -> list:
-    return sorted(
-        (_pair_json(p, atoms) for p in pairs),
-        key=lambda d: (d["lower"], d["upper"]),
-    )
+def _json_entry(kind: str, value, trace, atoms):
+    """The ``aft/1`` JSON entry of a result of the given kind, with its trace
+    steps unless ``trace`` is None."""
+    if kind == "sets":
+        return _sets_json(value)
+    if kind == "pairs":
+        return sorted(
+            (_pair_json(p, atoms) for p in value), key=lambda d: (d["lower"], d["upper"])
+        )
+    if kind == "pair":
+        entry, step = _pair_json(value, atoms), lambda p: _pair_json(p, atoms)
+    else:
+        entry, step = {"members": _sets_json(value)}, _sets_json
+    if trace is not None:
+        entry["trace"] = [step(s) for s in trace]
+    return entry
+
+
+def _assignment_text(pair_entry: dict) -> str:
+    shown = ", ".join(f"{a}: {v}" for a, v in pair_entry["assignment"].items())
+    return shown or "(no atoms)"
+
+
+def _sets_text(sets: list) -> str:
+    return ", ".join("{" + ",".join(m) + "}" for m in sets) or "(none)"
+
+
+def _text_lines(kind: str, entry) -> tuple[str, list[str]]:
+    """The text of a JSON entry: the result, then one line per trace step."""
+    if kind == "sets":
+        return _sets_text(entry), []
+    if kind == "pairs":
+        return ", ".join(f"[{_assignment_text(p)}]" for p in entry) or "(none)", []
+    if kind == "pair":
+        return _assignment_text(entry), [_assignment_text(p) for p in entry.get("trace", ())]
+    return _sets_text(entry["members"]), [_sets_text(s) for s in entry.get("trace", ())]
 
 
 # -- run ---------------------------------------------------------------------
 
 
-def _compute(config: RunConfig, lat, approximator):
-    base_op = approximator.operator
-    results: dict[str, object] = {}
-    traces: dict[str, list] = {}
-    for name in config.semantics:
-        if name == "kk":
-            results[name], traces[name] = kripke_kleene(approximator)
-        elif name == "wf":
-            results[name], traces[name] = well_founded(approximator)
-        elif name == "supported":
-            results[name] = supported_fixpoints(approximator)
-        elif name == "stable":
-            results[name] = stable_models(approximator)
-        elif name == "partial-stable":
-            results[name] = partial_stable_fixpoints(approximator)
-        elif name == "ultimate-kk":
-            results[name], traces[name] = kripke_kleene(ultimate(lat, base_op))
-        elif name == "ultimate-wf":
-            results[name], traces[name] = well_founded(ultimate(lat, base_op))
-        elif name == "convex-kk":
-            results[name], traces[name] = convex_kripke_kleene(lat, base_op)
-    return results, traces
-
-
 def _cmd_run(args) -> int:
-    config = RunConfig(
-        frontend=args.frontend,
-        source=args.source,
-        semantics=_parse_semantics(args.semantics),
-        fmt=args.fmt,
-        trace=args.trace,
-        validate=args.validate,
-        seed=args.seed,
-    )
-    lat, approximator = _load_frontend(config.frontend, _read_source(config.source))
-    if config.validate:
+    names = _parse_semantics(args.semantics)
+    lat, approximator = _load_frontend(args.frontend, _read_source(args.source))
+    if args.validate:
         verify_approximator(approximator)
     atoms = sorted(lat.universe)
-    results, traces = _compute(config, lat, approximator)
+    doc: dict = {"schema": "aft/1", "frontend": args.frontend, "atoms": atoms}
+    for name in names:
+        kind, compute = SEMANTICS[name]
+        value, trace = compute(approximator, lat)
+        doc[name] = _json_entry(kind, value, trace if args.trace else None, atoms)
 
-    if config.fmt == "json":
-        doc: dict = {"schema": "aft/1", "frontend": config.frontend, "atoms": atoms}
-        for name, value in results.items():
-            if isinstance(value, ApproxPair):
-                entry = _pair_json(value, atoms)
-                if config.trace:
-                    entry["trace"] = [_pair_json(p, atoms) for p in traces[name]]
-                doc[name] = entry
-            elif name == "partial-stable":
-                doc[name] = _pairs_json(value, atoms)
-            elif name == "convex-kk":
-                entry = {"members": _sets_json(value)}
-                if config.trace:
-                    entry["trace"] = [_sets_json(s) for s in traces[name]]
-                doc[name] = entry
-            else:
-                doc[name] = _sets_json(value)
-        print(json.dumps(doc, indent=2, sort_keys=False))
+    if args.fmt == "json":
+        print(json.dumps(doc, indent=2))
         return 0
-
-    for name, value in results.items():
-        if isinstance(value, ApproxPair):
-            print(f"{name}: {_assignment_text(value, atoms)}")
-            if config.trace:
-                for i, p in enumerate(traces[name]):
-                    print(f"  step {i}: {_assignment_text(p, atoms)}")
-        elif name == "partial-stable":
-            if value:
-                rendered = ", ".join(
-                    "[" + _assignment_text(p, atoms) + "]"
-                    for p in sorted(value, key=lambda p: (sorted(p.lower), sorted(p.upper)))
-                )
-            else:
-                rendered = "(none)"
-            print(f"{name}: {rendered}")
-        else:
-            print(f"{name}: {_sets_text(value)}")
-            if name == "convex-kk" and config.trace:
-                for i, s in enumerate(traces[name]):
-                    print(f"  step {i}: {_sets_text(s)}")
+    for name in names:
+        result, steps = _text_lines(SEMANTICS[name][0], doc[name])
+        print(f"{name}: {result}")
+        for i, step in enumerate(steps):
+            print(f"  step {i}: {step}")
     return 0
 
 
@@ -327,23 +264,21 @@ def _cmd_check(args) -> int:
 
 # -- compare -----------------------------------------------------------------
 
+# (label, semantics) of the constructions compared, in output order
+_COMPARED = (("fitting-kk", "kk"), ("ultimate-kk", "ultimate-kk"), ("convex-kk", "convex-kk"))
 
-def _compare_one(prog_text: str):
-    prog = parse_program(prog_text)
+
+def _compare_one(prog):
     lat = program_lattice(prog)
-    base_op = tp(prog, lat)
-    kk_fit, _ = kripke_kleene(fitting(prog, lat))
-    kk_ult, _ = kripke_kleene(ultimate(lat, base_op))
-    kk_cvx, _ = convex_kripke_kleene(lat, base_op)
+    approximator = fitting(prog, lat)
+    values = [SEMANTICS[name][1](approximator, lat)[0] for _, name in _COMPARED]
+    kk_fit, kk_ult, kk_cvx = values
     interval_ult = embed_interval(kk_ult)
-    return {
-        "kk_fit": kk_fit,
-        "kk_ult": kk_ult,
-        "kk_cvx": kk_cvx,
-        "fit_leq_ult": precision_leq(kk_fit, kk_ult),
-        "ult_strict": kk_fit != kk_ult,
-        "cvx_within_ult": kk_cvx <= interval_ult,
-        "cvx_strict": kk_cvx != interval_ult,
+    return values, {
+        "fitting_leq_ultimate": precision_leq(kk_fit, kk_ult),
+        "ultimate_strict_gain": kk_fit != kk_ult,
+        "convex_within_ultimate_interval": kk_cvx <= interval_ult,
+        "convex_strict_gain": kk_cvx != interval_ult,
     }
 
 
@@ -353,9 +288,9 @@ def _cmd_compare(args) -> int:
         ult_gains = 0
         cvx_gains = 0
         for prog in programs:
-            row = _compare_one(prog.to_text())
-            ult_gains += row["ult_strict"]
-            cvx_gains += row["cvx_strict"]
+            _, comparison = _compare_one(prog)
+            ult_gains += comparison["ultimate_strict_gain"]
+            cvx_gains += comparison["convex_strict_gain"]
         if args.fmt == "json":
             doc = {
                 "schema": "aft/1",
@@ -376,38 +311,26 @@ def _cmd_compare(args) -> int:
 
     if args.source is None:
         raise ValueError("compare needs a file or --corpus N")
-    text = _read_source(args.source)
-    prog = parse_program(text)
+    prog = parse_program(_read_source(args.source))
     atoms = sorted(prog.atoms)
-    row = _compare_one(text)
+    values, comparison = _compare_one(prog)
+    doc = {"schema": "aft/1", "mode": "compare", "atoms": atoms}
+    for (label, name), value in zip(_COMPARED, values):
+        doc[label] = _json_entry(SEMANTICS[name][0], value, None, atoms)
+    doc["comparison"] = comparison
     if args.fmt == "json":
-        doc = {
-            "schema": "aft/1",
-            "mode": "compare",
-            "atoms": atoms,
-            "fitting-kk": _pair_json(row["kk_fit"], atoms),
-            "ultimate-kk": _pair_json(row["kk_ult"], atoms),
-            "convex-kk": {"members": _sets_json(row["kk_cvx"])},
-            "comparison": {
-                "fitting_leq_ultimate": row["fit_leq_ult"],
-                "ultimate_strict_gain": row["ult_strict"],
-                "convex_within_ultimate_interval": row["cvx_within_ult"],
-                "convex_strict_gain": row["cvx_strict"],
-            },
-        }
         print(json.dumps(doc, indent=2))
-    else:
-        print(f"fitting-kk: {_assignment_text(row['kk_fit'], atoms)}")
-        print(f"ultimate-kk: {_assignment_text(row['kk_ult'], atoms)}")
-        print(f"convex-kk: {_sets_text(row['kk_cvx'])}")
-        print(
-            "ultimate-kk vs fitting-kk: "
-            + ("strictly more precise" if row["ult_strict"] else "equal")
-        )
-        print(
-            "convex-kk vs ultimate-kk interval: "
-            + ("strictly smaller" if row["cvx_strict"] else "equal")
-        )
+        return 0
+    for label, name in _COMPARED:
+        print(f"{label}: {_text_lines(SEMANTICS[name][0], doc[label])[0]}")
+    print(
+        "ultimate-kk vs fitting-kk: "
+        + ("strictly more precise" if comparison["ultimate_strict_gain"] else "equal")
+    )
+    print(
+        "convex-kk vs ultimate-kk interval: "
+        + ("strictly smaller" if comparison["convex_strict_gain"] else "equal")
+    )
     return 0
 
 
@@ -432,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         s.add_argument("--trace", action="store_true", help="include iteration traces")
         s.add_argument("--validate", action="store_true", help="verify the operator laws first")
-        s.add_argument("--seed", type=int, default=DEFAULT_SEED, help=argparse.SUPPRESS)
         s.set_defaults(func=_cmd_run, frontend=frontend)
 
     c = sub.add_parser("check", help="law-by-law validation of the induced operator")

@@ -22,8 +22,6 @@ import itertools
 import re
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .approx import Approximator
 from .errors import ForeignAtom, ParseError, TooManyAtoms
 from .lattice import LatticeOperator, PowersetLattice
@@ -230,18 +228,23 @@ def stable_models_oracle(program: LogicProgram, limit: int = ORACLE_ATOM_LIMIT) 
 
 
 def is_stratified(program: LogicProgram) -> bool:
-    """True when no dependency cycle passes through negation."""
-    g = nx.DiGraph()
-    g.add_nodes_from(program.atoms)
-    neg_edges = []
+    """True when no dependency cycle passes through negation, that is when
+    no rule's head reaches back to one of its negated body atoms."""
+    feeds: dict[str, set[str]] = {}
     for r in program.rules:
-        for b in r.pos:
-            g.add_edge(b, r.head)
-        for b in r.neg:
-            g.add_edge(b, r.head)
-            neg_edges.append((b, r.head))
-    component = {}
-    for i, comp in enumerate(nx.strongly_connected_components(g)):
-        for a in comp:
-            component[a] = i
-    return all(component[b] != component[h] for b, h in neg_edges)
+        for b in r.pos | r.neg:
+            feeds.setdefault(b, set()).add(r.head)
+    for r in program.rules:
+        if not r.neg:
+            continue
+        seen = {r.head}
+        stack = [r.head]
+        while stack:
+            a = stack.pop()
+            if a in r.neg:
+                return False
+            for h in feeds.get(a, ()):
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+    return True

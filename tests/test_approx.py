@@ -24,7 +24,7 @@ from aft.errors import (
     LatticeMismatch,
     NotPrecisionMonotone,
 )
-from aft.lattice import LatticeOperator, PowersetLattice, verify_lattice
+from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
 from aft.lp import fitting, parse_program, program_lattice, tp
 from conftest import fs
 
@@ -56,13 +56,29 @@ class TestPrecisionOrder:
             for b in raw
             if PQ.leq(a[0], b[0]) and PQ.leq(b[1], a[1])
         ]
-        space = verify_lattice(raw, rel)
+        space = FiniteLattice(raw, rel)
         assert space.bottom == (fs(), fs("p", "q"))
 
     def test_mismatched_lattices_rejected(self):
         other = PowersetLattice({"p"})
         with pytest.raises(LatticeMismatch):
             precision_leq(pair([], ["p"]), pair([], ["p"], lat=other))
+
+    def test_pairs_over_equal_powersets_compare_by_universe(self):
+        atoms = [f"a{i}" for i in range(40)]
+        lat, same, other = (
+            PowersetLattice(atoms),
+            PowersetLattice(reversed(atoms)),
+            PowersetLattice(atoms[:39] + ["z"]),
+        )
+        lo, hi = frozenset(atoms[:3]), frozenset(atoms[:39])
+        assert pair(lo, hi, lat) == pair(lo, hi, same)
+        assert hash(lat) == hash(same)
+        assert precision_leq(pair(lo, hi, lat), pair(lo, lo, same))
+        assert pair(lo, hi, lat) != pair(lo, hi, other)
+        for lattice in (lat, same, other):
+            assert "_all_subsets" not in lattice.__dict__
+            assert "_extension" not in lattice.__dict__
 
     def test_precision_is_interval_containment(self):
         consistent = [pair(lo, hi) for lo, hi in PQ.consistent_pairs()]

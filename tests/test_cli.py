@@ -1,10 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import aft
 from aft.cli import main
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lp import fitting, parse_program
 from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE
+
+SELF_ATTACK = "s(a). ac(a, neg(a)).\n"
 
 
 def write(tmp_path, name, text):
@@ -99,6 +107,161 @@ class TestRun:
         doc = json.loads(json_out)
         rendered = ", ".join(f"{a}: {v}" for a, v in doc["wf"]["assignment"].items())
         assert f"wf: {rendered}" in text_out
+
+
+# Every semantics on three inputs, as printed with --trace; the untraced
+# output is the same without the step lines and trace keys.
+PINNED_TEXT = {
+    "two-cycle": """\
+kk: p: unknown, q: unknown
+  step 0: p: unknown, q: unknown
+wf: p: unknown, q: unknown
+  step 0: p: unknown, q: unknown
+supported: {p}, {q}
+stable: {p}, {q}
+partial-stable: [p: unknown, q: unknown], [p: true, q: false], [p: false, q: true]
+ultimate-kk: p: unknown, q: unknown
+  step 0: p: unknown, q: unknown
+ultimate-wf: p: unknown, q: unknown
+  step 0: p: unknown, q: unknown
+convex-kk: {}, {p}, {p,q}, {q}
+  step 0: {}, {p}, {p,q}, {q}
+""",
+    "separator": """\
+kk: p: unknown, q: unknown
+  step 0: p: unknown, q: unknown
+wf: p: true, q: false
+  step 0: p: unknown, q: unknown
+  step 1: p: unknown, q: false
+  step 2: p: true, q: false
+supported: {p}, {p,q}
+stable: {p}
+partial-stable: [p: true, q: false]
+ultimate-kk: p: true, q: unknown
+  step 0: p: unknown, q: unknown
+  step 1: p: true, q: unknown
+ultimate-wf: p: true, q: false
+  step 0: p: unknown, q: unknown
+  step 1: p: true, q: false
+convex-kk: {p}, {p,q}
+  step 0: {}, {p}, {p,q}, {q}
+  step 1: {p}, {p,q}
+""",
+    "self-attack": """\
+kk: a: unknown
+  step 0: a: unknown
+wf: a: unknown
+  step 0: a: unknown
+supported: (none)
+stable: (none)
+partial-stable: [a: unknown]
+ultimate-kk: a: unknown
+  step 0: a: unknown
+ultimate-wf: a: unknown
+  step 0: a: unknown
+convex-kk: {}, {a}
+  step 0: {}, {a}
+""",
+}
+
+PQ_OPEN = {"lower": [], "upper": ["p", "q"], "assignment": {"p": "unknown", "q": "unknown"}}
+PQ_P = {"lower": ["p"], "upper": ["p"], "assignment": {"p": "true", "q": "false"}}
+PQ_Q = {"lower": ["q"], "upper": ["q"], "assignment": {"p": "false", "q": "true"}}
+PQ_P_OPEN = {"lower": ["p"], "upper": ["p", "q"], "assignment": {"p": "true", "q": "unknown"}}
+PQ_Q_FALSE = {"lower": [], "upper": ["p"], "assignment": {"p": "unknown", "q": "false"}}
+A_OPEN = {"lower": [], "upper": ["a"], "assignment": {"a": "unknown"}}
+PQ_SETS = [[], ["p"], ["p", "q"], ["q"]]
+
+PINNED_JSON = {
+    "two-cycle": {
+        "schema": "aft/1",
+        "frontend": "lp",
+        "atoms": ["p", "q"],
+        "kk": {**PQ_OPEN, "trace": [PQ_OPEN]},
+        "wf": {**PQ_OPEN, "trace": [PQ_OPEN]},
+        "supported": [["p"], ["q"]],
+        "stable": [["p"], ["q"]],
+        "partial-stable": [PQ_OPEN, PQ_P, PQ_Q],
+        "ultimate-kk": {**PQ_OPEN, "trace": [PQ_OPEN]},
+        "ultimate-wf": {**PQ_OPEN, "trace": [PQ_OPEN]},
+        "convex-kk": {"members": PQ_SETS, "trace": [PQ_SETS]},
+    },
+    "separator": {
+        "schema": "aft/1",
+        "frontend": "lp",
+        "atoms": ["p", "q"],
+        "kk": {**PQ_OPEN, "trace": [PQ_OPEN]},
+        "wf": {**PQ_P, "trace": [PQ_OPEN, PQ_Q_FALSE, PQ_P]},
+        "supported": [["p"], ["p", "q"]],
+        "stable": [["p"]],
+        "partial-stable": [PQ_P],
+        "ultimate-kk": {**PQ_P_OPEN, "trace": [PQ_OPEN, PQ_P_OPEN]},
+        "ultimate-wf": {**PQ_P, "trace": [PQ_OPEN, PQ_P]},
+        "convex-kk": {"members": [["p"], ["p", "q"]], "trace": [PQ_SETS, [["p"], ["p", "q"]]]},
+    },
+    "self-attack": {
+        "schema": "aft/1",
+        "frontend": "adf",
+        "atoms": ["a"],
+        "kk": {**A_OPEN, "trace": [A_OPEN]},
+        "wf": {**A_OPEN, "trace": [A_OPEN]},
+        "supported": [],
+        "stable": [],
+        "partial-stable": [A_OPEN],
+        "ultimate-kk": {**A_OPEN, "trace": [A_OPEN]},
+        "ultimate-wf": {**A_OPEN, "trace": [A_OPEN]},
+        "convex-kk": {"members": [[], ["a"]], "trace": [[[], ["a"]]]},
+    },
+}
+
+PINNED_INPUTS = {
+    "two-cycle": ("lp", TWO_CYCLE),
+    "separator": ("lp", SEPARATOR),
+    "self-attack": ("adf", SELF_ATTACK),
+}
+
+
+def untraced_doc(doc):
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            value = {k: v for k, v in value.items() if k != "trace"}
+        out[key] = value
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+@pytest.mark.parametrize("trace", [False, True])
+class TestPinnedOutput:
+    def test_text(self, tmp_path, capsys, name, trace):
+        frontend, source = PINNED_INPUTS[name]
+        path = write(tmp_path, f"input.{frontend}", source)
+        code, out, _ = run(capsys, frontend, path, *(["--trace"] if trace else []))
+        expected = PINNED_TEXT[name]
+        if not trace:
+            expected = "".join(
+                line for line in expected.splitlines(True) if not line.startswith("  step ")
+            )
+        assert code == 0
+        assert out == expected
+
+    def test_json(self, tmp_path, capsys, name, trace):
+        frontend, source = PINNED_INPUTS[name]
+        path = write(tmp_path, f"input.{frontend}", source)
+        argv = [frontend, path, "--format", "json"] + (["--trace"] if trace else [])
+        code, out, _ = run(capsys, *argv)
+        doc = PINNED_JSON[name] if trace else untraced_doc(PINNED_JSON[name])
+        assert code == 0
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_import_leaves_graph_library_unloaded():
+    probe = "import sys, aft.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aft.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestCheck:

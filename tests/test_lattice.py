@@ -10,11 +10,11 @@ from aft.errors import (
     NotAPartialOrder,
 )
 from aft.lattice import (
+    FiniteLattice,
     LatticeOperator,
     PowersetLattice,
     is_monotone,
     lfp,
-    verify_lattice,
 )
 from aft.lp import parse_program, program_lattice, tp
 
@@ -34,7 +34,7 @@ class TestVerifyLattice:
 
     def test_antichain_misses_lub(self):
         with pytest.raises(NotALattice) as exc:
-            verify_lattice(["a", "b"], [("a", "a"), ("b", "b")])
+            FiniteLattice(["a", "b"], [("a", "a"), ("b", "b")])
         assert exc.value.missing == "lub"
         assert set(exc.value.witness) == {"a", "b"}
 
@@ -46,34 +46,34 @@ class TestVerifyLattice:
 
     def test_missing_reflexive_pair(self):
         with pytest.raises(NotAPartialOrder) as exc:
-            verify_lattice(["a", "b"], [("a", "a"), ("a", "b")])
+            FiniteLattice(["a", "b"], [("a", "a"), ("a", "b")])
         assert exc.value.law == "reflexivity"
         assert exc.value.witness == ("b",)
 
     def test_antisymmetry_violation(self):
         with pytest.raises(NotAPartialOrder) as exc:
-            verify_lattice(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
+            FiniteLattice(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
         assert exc.value.law == "antisymmetry"
 
     def test_transitivity_violation(self):
         rel = [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")]
         with pytest.raises(NotAPartialOrder) as exc:
-            verify_lattice(["a", "b", "c"], rel)
+            FiniteLattice(["a", "b", "c"], rel)
         assert exc.value.law == "transitivity"
         assert exc.value.witness == ("a", "b", "c")
 
     def test_foreign_element_in_relation(self):
         with pytest.raises(ForeignElement):
-            verify_lattice(["a"], [("a", "a"), ("a", "z")])
+            FiniteLattice(["a"], [("a", "a"), ("a", "z")])
 
     def test_empty_carrier(self):
         with pytest.raises(NotALattice):
-            verify_lattice([], [])
+            FiniteLattice([], [])
 
     def test_powerset_equals_extensional_copy(self):
         lat = PowersetLattice({"p"})
         rel = [(a, b) for a in lat.elements for b in lat.elements if a <= b]
-        assert verify_lattice(lat.elements, rel) == lat
+        assert FiniteLattice(lat.elements, rel) == lat
 
 
 class TestBounds:

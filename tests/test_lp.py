@@ -190,3 +190,22 @@ class TestStratification:
     )
     def test_examples(self, text, expected):
         assert is_stratified(parse_program(text)) == expected
+
+
+def stratified_by_closure(program):
+    """Reference: close the dependency relation transitively, then look for a
+    negative edge whose head depends back on its body atom."""
+    depends = {(b, r.head) for r in program.rules for b in r.pos | r.neg}
+    while True:
+        grown = depends | {(a, d) for a, b in depends for c, d in depends if b == c}
+        if grown == depends:
+            break
+        depends = grown
+    return all(
+        n != r.head and (r.head, n) not in depends for r in program.rules for n in r.neg
+    )
+
+
+@given(programs())
+def test_stratified_matches_transitive_closure(prog):
+    assert is_stratified(prog) == stratified_by_closure(prog)
