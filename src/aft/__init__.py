@@ -10,7 +10,6 @@ convex-set approximation space generalizes the interval reading.
 from . import errors
 from .adf import (
     Adf,
-    AdfReport,
     And,
     Const,
     Formula,
@@ -20,7 +19,6 @@ from .adf import (
     Var,
     adf_approximator,
     adf_lattice,
-    adf_semantics,
     attack_network,
     classical_operator,
     eval3,
@@ -50,11 +48,9 @@ from .convex import (
     lift_operator,
 )
 from .fixpoints import (
-    SemanticsReport,
     fixpoints_of,
     kripke_kleene,
     partial_stable_fixpoints,
-    semantics_report,
     stable_models,
     stable_operator,
     supported_fixpoints,
@@ -62,6 +58,7 @@ from .fixpoints import (
 )
 from .lattice import (
     FiniteLattice,
+    Lattice,
     LatticeOperator,
     LawCheck,
     PowersetLattice,

@@ -31,7 +31,6 @@ from typing import Iterable, Mapping
 
 from .approx import Approximator, ApproxPair
 from .errors import MissingCondition, ParseError, UndeclaredStatement
-from .fixpoints import fixpoints_of, semantics_report
 from .lattice import LatticeOperator, PowersetLattice
 from .lp import LogicProgram, _Parser, _tokenize
 
@@ -263,32 +262,6 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
         return (frozenset(lo), frozenset(hi))
 
     return Approximator(lat, step, operator=classical_operator(adf, lat), name="adf")
-
-
-@dataclass
-class AdfReport:
-    """Framework semantics under their usual names."""
-
-    grounded: ApproxPair
-    complete: frozenset
-    two_valued: frozenset
-    stable: frozenset
-    well_founded: ApproxPair
-    traces: dict
-
-
-def adf_semantics(adf: Adf) -> AdfReport:
-    a = adf_approximator(adf)
-    rep = semantics_report(a)
-    complete = frozenset(p for p in fixpoints_of(a) if p.consistent)
-    return AdfReport(
-        grounded=rep.kripke_kleene,
-        complete=complete,
-        two_valued=rep.supported,
-        stable=rep.stable,
-        well_founded=rep.well_founded,
-        traces=rep.traces,
-    )
 
 
 def _conjunction(parts: list[Formula]) -> Formula:

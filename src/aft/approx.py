@@ -25,7 +25,7 @@ from .errors import (
     LatticeMismatch,
     NotPrecisionMonotone,
 )
-from .lattice import Element, FiniteLattice, LatticeOperator, LawCheck
+from .lattice import Element, Lattice, LatticeOperator, LawCheck
 
 RawPair = tuple[Element, Element]
 
@@ -34,7 +34,7 @@ RawPair = tuple[Element, Element]
 class ApproxPair:
     """An element of the pair space over a fixed lattice."""
 
-    lattice: FiniteLattice
+    lattice: Lattice
     lower: Element
     upper: Element
 
@@ -72,7 +72,7 @@ class ApproxPair:
         return f"({self.lower!r}, {self.upper!r})"
 
 
-def _same_lattice(p: ApproxPair, q: ApproxPair) -> FiniteLattice:
+def _same_lattice(p: ApproxPair, q: ApproxPair) -> Lattice:
     if p.lattice is q.lattice or p.lattice == q.lattice:
         return p.lattice
     raise LatticeMismatch(f"pairs {p!r} and {q!r} live over different lattices")
@@ -102,7 +102,7 @@ class Approximator:
 
     def __init__(
         self,
-        lattice: FiniteLattice,
+        lattice: Lattice,
         mapping: Callable[[Element, Element], RawPair] | Mapping[RawPair, RawPair],
         *,
         operator: LatticeOperator | None = None,
@@ -225,7 +225,7 @@ def is_exact_approximator(a: Approximator, operator: LatticeOperator | None = No
     return LawCheck(True)
 
 
-def ultimate(lattice: FiniteLattice, op: LatticeOperator, name: str | None = None) -> Approximator:
+def ultimate(lattice: Lattice, op: LatticeOperator, name: str | None = None) -> Approximator:
     """The most precise approximator of an operator.
 
     On a consistent pair it meets and joins the operator's image over the

@@ -23,13 +23,18 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .approx import ApproxPair
-from .errors import DivergenceGuard, InconsistentPair
-from .lattice import FiniteLattice, LatticeOperator, LawCheck
+from .errors import DivergenceGuard, InconsistentPair, TooManyAtoms
+from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck
 
 ConvexSet = frozenset
 
+# convex_kripke_kleene starts from the set of all elements and hulls over all
+# of them on every step, so its cost grows about fourfold per atom; it refuses
+# powersets of more atoms than this
+CONVEX_ATOM_LIMIT = 12
 
-def is_convex(lattice: FiniteLattice, members: Iterable) -> LawCheck:
+
+def is_convex(lattice: Lattice, members: Iterable) -> LawCheck:
     """Exhaustive hole check; a failing witness is (x, y, z) with x, z inside
     and y strictly between them outside."""
     s = frozenset(lattice.check_element(x) for x in members)
@@ -42,7 +47,7 @@ def is_convex(lattice: FiniteLattice, members: Iterable) -> LawCheck:
     return LawCheck(True)
 
 
-def hull(lattice: FiniteLattice, members: Iterable) -> ConvexSet:
+def hull(lattice: Lattice, members: Iterable) -> ConvexSet:
     """Smallest convex superset: everything bounded by members on both sides."""
     s = frozenset(lattice.check_element(x) for x in members)
     if not s:
@@ -63,7 +68,7 @@ def embed_interval(p: ApproxPair) -> ConvexSet:
     return p.lattice.interval(p.lower, p.upper)
 
 
-def lift_operator(lattice: FiniteLattice, op: LatticeOperator) -> Callable[[ConvexSet], ConvexSet]:
+def lift_operator(lattice: Lattice, op: LatticeOperator) -> Callable[[ConvexSet], ConvexSet]:
     """Lift a base operator to convex sets: hull of the pointwise image.
     The empty (inconsistent) set is fixed. Monotone for precision: shrinking
     the argument shrinks image and hull."""
@@ -77,10 +82,17 @@ def lift_operator(lattice: FiniteLattice, op: LatticeOperator) -> Callable[[Conv
 
 
 def convex_kripke_kleene(
-    lattice: FiniteLattice, op: LatticeOperator
+    lattice: Lattice, op: LatticeOperator
 ) -> tuple[ConvexSet, list[ConvexSet]]:
     """Precision-least fixpoint of the lifted operator, iterated from the
-    full (least precise) set; the trace shrinks monotonically."""
+    full (least precise) set; the trace shrinks monotonically.
+
+    Lattices of more than 2**CONVEX_ATOM_LIMIT elements are refused with
+    TooManyAtoms, counting ceil(log2(size)) atoms.
+    """
+    atoms = (lattice.size - 1).bit_length()
+    if atoms > CONVEX_ATOM_LIMIT:
+        raise TooManyAtoms(atoms, CONVEX_ATOM_LIMIT, "convex-kk")
     lifted = lift_operator(lattice, op)
     cur = frozenset(lattice.elements)
     trace = [cur]
@@ -102,7 +114,7 @@ class ConvexSpace:
     exponential in the base; intended for tiny bases and law checks.
     """
 
-    def __init__(self, base: FiniteLattice):
+    def __init__(self, base: Lattice):
         self.base = base
 
     @cached_property

@@ -54,6 +54,8 @@ def exhaustive_two_atom_count() -> int:
 
 
 def random_program(rng: random.Random, n_atoms: int, max_body: int = 2) -> LogicProgram:
+    if n_atoms == 0:
+        return LogicProgram([])
     atoms = list(_ATOM_NAMES[:n_atoms])
     n_rules = rng.randint(1, 2 * n_atoms)
     rules = []

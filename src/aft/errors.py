@@ -134,9 +134,11 @@ class ForeignAtom(AftError):
 
 
 class TooManyAtoms(AftError):
-    """The brute-force oracle refuses universes it cannot enumerate."""
+    """An exponential construction refuses a universe it cannot enumerate;
+    ``what`` names the construction."""
 
-    def __init__(self, count: int, limit: int):
+    def __init__(self, count: int, limit: int, what: str):
         self.count = count
         self.limit = limit
-        super().__init__(f"{count} atoms exceed the oracle limit of {limit}")
+        self.what = what
+        super().__init__(f"{count} atoms exceed the {what} limit of {limit}")

@@ -16,18 +16,18 @@ here; nothing is optimized past desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .approx import Approximator, ApproxPair
 from .errors import DivergenceGuard, NonMonotoneProjection, StableRevisionUndefined
 from .lattice import Element, LatticeOperator, is_monotone
 
 
 def _iterate_to_fixpoint(a: Approximator, start, what: str):
+    # a strictly precision-increasing chain of pairs climbs at most the
+    # height of the lattice in each bound, which sizes the guard
     lat = a.lattice
     cur = start
     trace = [ApproxPair(lat, *cur)]
-    bound = lat.size * lat.size + 1
+    bound = 2 * lat.height + 1
     for _ in range(bound):
         nxt = a.apply(*cur)
         if nxt == cur:
@@ -41,7 +41,7 @@ def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     """The precision-least fixpoint of the approximator, with its trace.
 
     Iterates from (bottom, top); for a precision-monotone operator the trace
-    is precision-increasing and stabilizes within the number of pairs.
+    is precision-increasing and stabilizes within twice the lattice height.
     """
     lat = a.lattice
     return _iterate_to_fixpoint(a, (lat.bottom, lat.top), f"Kripke-Kleene iteration of {a.name}")
@@ -70,7 +70,7 @@ def _lower_revision(a: Approximator, upper: Element):
     """
     lat = a.lattice
     z = lat.bottom
-    bound = lat.size + 1
+    bound = lat.height + 1
     for _ in range(bound):
         nz = a.apply(z, upper)[0]
         if nz == z:
@@ -90,7 +90,7 @@ def _upper_revision(a: Approximator, lower: Element):
     """
     lat = a.lattice
     z = lower if a.consistent_only else lat.bottom
-    bound = lat.size + 1
+    bound = lat.height + 1
     for _ in range(bound):
         nz = a.apply(lower, z)[1]
         if nz == z:
@@ -160,7 +160,7 @@ def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     lat = a.lattice
     cur = (lat.bottom, lat.top)
     trace = [ApproxPair(lat, *cur)]
-    bound = lat.size * lat.size + 1
+    bound = 2 * lat.height + 1
     for _ in range(bound):
         nxt = _stable_raw(a, *cur)
         if nxt is None:
@@ -170,29 +170,3 @@ def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
         cur = nxt
         trace.append(ApproxPair(lat, *cur))
     raise DivergenceGuard(f"well-founded iteration of {a.name}", bound)
-
-
-@dataclass
-class SemanticsReport:
-    """Every fixpoint family of one approximator, plus iteration traces."""
-
-    kripke_kleene: ApproxPair
-    well_founded: ApproxPair
-    supported: frozenset
-    partial_stable: frozenset
-    stable: frozenset
-    traces: dict = field(default_factory=dict)
-
-
-def semantics_report(a: Approximator) -> SemanticsReport:
-    kk, kk_trace = kripke_kleene(a)
-    wf, wf_trace = well_founded(a)
-    partial = partial_stable_fixpoints(a)
-    return SemanticsReport(
-        kripke_kleene=kk,
-        well_founded=wf,
-        supported=supported_fixpoints(a),
-        partial_stable=partial,
-        stable=frozenset(p.lower for p in partial if p.exact),
-        traces={"kripke_kleene": kk_trace, "well_founded": wf_trace},
-    )

@@ -1,9 +1,9 @@
 """Finite complete lattices and least fixpoints of monotone operators.
 
-Lattices are given extensionally (element set plus order relation) or as the
-powerset of a finite universe. Everything is desk scale by design: laws are
-checked exhaustively, and fixpoints are computed by plain Kleene iteration
-from the bottom element.
+Two kinds of lattice share one protocol, ``Lattice``: lattices given
+extensionally (element set plus order relation) and powersets of a finite
+universe. Everything is desk scale by design: laws are checked exhaustively,
+and fixpoints are computed by plain Kleene iteration from the bottom element.
 """
 
 from __future__ import annotations
@@ -39,8 +39,58 @@ class LawCheck:
         return self.holds
 
 
-class FiniteLattice:
-    """Finite complete lattice, validated eagerly at construction.
+class Lattice:
+    """A finite complete lattice.
+
+    Each kind supplies its primitives: ``bottom``, ``top``, ``elements``,
+    ``size``, ``height`` (the number of steps in a longest chain), ``has``,
+    ``leq``, ``lub``, ``glb``, ``interval``, ``up_covers`` and
+    ``down_covers``. Everything else is derived here from those, once.
+    """
+
+    def check_element(self, x: Element) -> Element:
+        if not self.has(x):
+            raise ForeignElement(x)
+        return x
+
+    def lt(self, a: Element, b: Element) -> bool:
+        return a != b and self.leq(a, b)
+
+    def consistent_pairs(self) -> Iterator[tuple[Element, Element]]:
+        """All pairs (x, y) with x <= y."""
+        for x in self.elements:
+            for y in self.interval(x, self.top):
+                yield (x, y)
+
+    def inverted(self) -> "FiniteLattice":
+        """The same carrier with the order turned upside down."""
+        return FiniteLattice(self.elements, [(b, a) for a, b in self.consistent_pairs()])
+
+    def __eq__(self, other) -> bool:
+        # extensional; the size test first keeps lattices of different
+        # sizes from enumerating anything
+        if self is other:
+            return True
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return (
+            self.size == other.size
+            and self.elements == other.elements
+            and set(self.consistent_pairs()) == set(other.consistent_pairs())
+        )
+
+    def __hash__(self) -> int:
+        # size and top are what every kind of lattice knows without
+        # enumerating, and equal lattices agree on both
+        return hash((self.size, self.top))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} with {self.size} elements>"
+
+
+class FiniteLattice(Lattice):
+    """Finite complete lattice given extensionally, validated eagerly at
+    construction.
 
     ``leq`` must be the full order relation (reflexive pairs included).
     Construction checks the partial-order laws and the existence of all
@@ -135,19 +185,20 @@ class FiniteLattice:
     def size(self) -> int:
         return len(self._elements)
 
+    @cached_property
+    def height(self) -> int:
+        # whatever lies strictly below x has fewer elements below it, so in
+        # this order every chain length is settled before it is read
+        longest: dict[Element, int] = {}
+        for x in sorted(self._elements, key=lambda e: len(self._downs[e])):
+            longest[x] = max((longest[y] + 1 for y in self._downs[x] if y != x), default=0)
+        return longest[self.top]
+
     def has(self, x: Element) -> bool:
         return x in self._elements
 
-    def check_element(self, x: Element) -> Element:
-        if not self.has(x):
-            raise ForeignElement(x)
-        return x
-
     def leq(self, a: Element, b: Element) -> bool:
         return b in self._ups[a]
-
-    def lt(self, a: Element, b: Element) -> bool:
-        return a != b and self.leq(a, b)
 
     def lub(self, xs: Iterable[Element]) -> Element:
         """Least upper bound; the empty join is the bottom element."""
@@ -193,39 +244,8 @@ class FiniteLattice:
             out[x] = frozenset(y for y in strict if not any(self.lt(y, w) for w in strict))
         return out
 
-    def consistent_pairs(self) -> Iterator[tuple[Element, Element]]:
-        """All pairs (x, y) with x <= y."""
-        for x in self._elements:
-            for y in self._ups[x]:
-                yield (x, y)
 
-    def inverted(self) -> "FiniteLattice":
-        """The same carrier with the order turned upside down."""
-        return FiniteLattice(self._elements, [(b, a) for (a, b) in self._extension])
-
-    # -- identity ----------------------------------------------------------
-
-    @cached_property
-    def _extension(self) -> frozenset:
-        return frozenset((a, b) for a in self._elements for b in self._ups[a])
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FiniteLattice):
-            return NotImplemented
-        return self.elements == other.elements and self._extension == other._extension
-
-    def __hash__(self) -> int:
-        # size and top are what every kind of lattice knows without
-        # enumerating, and equal lattices agree on both
-        return hash((self.size, self.top))
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} with {len(self.elements)} elements>"
-
-
-class PowersetLattice(FiniteLattice):
+class PowersetLattice(Lattice):
     """Lattice of all subsets of a finite universe, ordered by inclusion.
 
     Meets, joins and order tests are plain set operations, so nothing is
@@ -253,14 +273,15 @@ class PowersetLattice(FiniteLattice):
     def size(self) -> int:
         return 2 ** len(self.universe)
 
+    @property
+    def height(self) -> int:
+        return len(self.universe)
+
     def has(self, x) -> bool:
         return isinstance(x, frozenset) and x <= self.universe
 
     def leq(self, a, b) -> bool:
         return a <= b
-
-    def lt(self, a, b) -> bool:
-        return a < b
 
     def lub(self, xs) -> frozenset:
         out = frozenset()
@@ -292,24 +313,13 @@ class PowersetLattice(FiniteLattice):
     def down_covers(self, x) -> frozenset:
         return frozenset(x - {a} for a in x)
 
-    def consistent_pairs(self):
-        for x in self.elements:
-            for y in self.interval(x, self.universe):
-                yield (x, y)
-
-    def inverted(self) -> FiniteLattice:
-        return FiniteLattice(self.elements, [(b, a) for (a, b) in self._extension])
-
-    @cached_property
-    def _extension(self) -> frozenset:
-        return frozenset((a, b) for a in self.elements for b in self.interval(a, self.universe))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, PowersetLattice):
             return self.universe == other.universe
         return super().__eq__(other)
 
-    __hash__ = FiniteLattice.__hash__
+    # defining __eq__ drops the inherited hash; take it back unchanged
+    __hash__ = Lattice.__hash__
 
 
 class LatticeOperator:
@@ -319,7 +329,7 @@ class LatticeOperator:
     memoized; exhaustive law checks revisit elements many times.
     """
 
-    def __init__(self, lattice: FiniteLattice, mapping: Callable[[Element], Element] | Mapping, name: str = "O"):
+    def __init__(self, lattice: Lattice, mapping: Callable[[Element], Element] | Mapping, name: str = "O"):
         self.lattice = lattice
         self.name = name
         if isinstance(mapping, Mapping):
@@ -363,8 +373,9 @@ def lfp(op: LatticeOperator, *, validate: bool | None = None) -> Element:
     """Least fixpoint of a monotone operator by Kleene iteration from bottom.
 
     ``validate`` defaults to an exhaustive monotonicity check on lattices of
-    at most VALIDATION_LIMIT elements. The iteration is bounded by the number
-    of lattice elements; exceeding the bound means the operator is broken.
+    at most VALIDATION_LIMIT elements. A monotone operator climbs a strictly
+    increasing chain from bottom, so the iteration is bounded by the lattice
+    height; exceeding the bound means the operator is broken.
     """
     lat = op.lattice
     if validate is None:
@@ -373,7 +384,7 @@ def lfp(op: LatticeOperator, *, validate: bool | None = None) -> Element:
         check = is_monotone(op)
         if not check:
             raise NonMonotoneOperator(check.witness)
-    bound = lat.size
+    bound = lat.height + 1
     x = lat.bottom
     for _ in range(bound):
         nx = op(x)

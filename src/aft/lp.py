@@ -217,7 +217,7 @@ def stable_models_oracle(program: LogicProgram, limit: int = ORACLE_ATOM_LIMIT) 
     the least model of its reduct. Independent of the pair-space machinery."""
     atoms = sorted(program.atoms)
     if len(atoms) > limit:
-        raise TooManyAtoms(len(atoms), limit)
+        raise TooManyAtoms(len(atoms), limit, "stable-model oracle")
     out = []
     for k in range(len(atoms) + 1):
         for combo in itertools.combinations(atoms, k):

@@ -12,7 +12,6 @@ from aft.adf import (
     Var,
     adf_approximator,
     adf_lattice,
-    adf_semantics,
     attack_network,
     classical_operator,
     eval3,
@@ -21,7 +20,13 @@ from aft.adf import (
 )
 from aft.approx import ApproxPair, is_exact_approximator, is_symmetric, verify_approximator
 from aft.errors import MissingCondition, ParseError, UndeclaredStatement
-from aft.fixpoints import semantics_report
+from aft.fixpoints import (
+    fixpoints_of,
+    kripke_kleene,
+    stable_models,
+    supported_fixpoints,
+    well_founded,
+)
 from aft.lp import fitting, parse_program
 from conftest import fs
 
@@ -156,26 +161,27 @@ class TestApproximator:
 
 class TestSemantics:
     def test_abc_report(self):
-        rep = adf_semantics(parse_adf(ABC))
-        assert rep.grounded.raw() == (fs("a", "b"), fs("a", "b"))
-        assert rep.well_founded.raw() == (fs("a", "b"), fs("a", "b"))
-        assert rep.stable == {fs("a", "b")}
-        assert rep.two_valued == {fs("a", "b")}
-        assert {p.raw() for p in rep.complete} == {(fs("a", "b"), fs("a", "b"))}
+        a = adf_approximator(parse_adf(ABC))
+        assert kripke_kleene(a)[0].raw() == (fs("a", "b"), fs("a", "b"))
+        assert well_founded(a)[0].raw() == (fs("a", "b"), fs("a", "b"))
+        assert stable_models(a) == {fs("a", "b")}
+        assert supported_fixpoints(a) == {fs("a", "b")}
+        complete = {p.raw() for p in fixpoints_of(a) if p.consistent}
+        assert complete == {(fs("a", "b"), fs("a", "b"))}
 
     def test_self_attack(self):
-        rep = adf_semantics(parse_adf("s(a). ac(a, neg(a))."))
-        assert rep.grounded.raw() == (fs(), fs("a"))
-        assert rep.stable == set()
-        assert rep.two_valued == set()
+        a = adf_approximator(parse_adf("s(a). ac(a, neg(a))."))
+        assert kripke_kleene(a)[0].raw() == (fs(), fs("a"))
+        assert stable_models(a) == set()
+        assert supported_fixpoints(a) == set()
 
     def test_empty_framework(self):
-        rep = adf_semantics(parse_adf(""))
-        assert rep.grounded.raw() == (fs(), fs())
+        a = adf_approximator(parse_adf(""))
+        assert kripke_kleene(a)[0].raw() == (fs(), fs())
 
     def test_grounded_trace_matches_iteration(self):
-        rep = adf_semantics(parse_adf(ABC))
-        steps = [p.raw() for p in rep.traces["kripke_kleene"]]
+        _, trace = kripke_kleene(adf_approximator(parse_adf(ABC)))
+        steps = [p.raw() for p in trace]
         assert steps == [
             (fs(), fs("a", "b", "c")),
             (fs("a"), fs("a", "b", "c")),
@@ -198,11 +204,10 @@ class TestProgramEncoding:
     def test_encoding_agrees_with_program_semantics(self, text):
         prog = parse_program(text)
         encoded = program_to_adf(prog)
-        lp_report = semantics_report(fitting(prog))
-        adf_report = adf_semantics(encoded)
-        assert adf_report.grounded == lp_report.kripke_kleene
-        assert adf_report.stable == lp_report.stable
-        assert adf_report.well_founded == lp_report.well_founded
+        fit, enc = fitting(prog), adf_approximator(encoded)
+        assert kripke_kleene(enc)[0] == kripke_kleene(fit)[0]
+        assert stable_models(enc) == stable_models(fit)
+        assert well_founded(enc)[0] == well_founded(fit)[0]
 
     def test_encoding_matches_fitting_pointwise(self, two_cycle):
         encoded = program_to_adf(two_cycle)
@@ -220,15 +225,15 @@ class TestProgramEncoding:
 class TestAttackNetwork:
     def test_chain_of_attacks(self):
         framework = attack_network(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        rep = adf_semantics(framework)
-        assert rep.grounded.raw() == (fs("a", "c"), fs("a", "c"))
-        assert rep.stable == {fs("a", "c")}
+        a = adf_approximator(framework)
+        assert kripke_kleene(a)[0].raw() == (fs("a", "c"), fs("a", "c"))
+        assert stable_models(a) == {fs("a", "c")}
 
     def test_mutual_attack_stays_open(self):
         framework = attack_network(["a", "b"], [("a", "b"), ("b", "a")])
-        rep = adf_semantics(framework)
-        assert rep.grounded.raw() == (fs(), fs("a", "b"))
-        assert rep.stable == {fs("a"), fs("b")}
+        a = adf_approximator(framework)
+        assert kripke_kleene(a)[0].raw() == (fs(), fs("a", "b"))
+        assert stable_models(a) == {fs("a"), fs("b")}
 
 
 formulas = st.deferred(

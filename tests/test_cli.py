@@ -54,6 +54,12 @@ class TestRun:
         assert code == 1
         assert "line 1" in err
 
+    def test_convex_kk_beyond_its_atom_limit_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(12)))
+        code, out, err = run(capsys, "lp", path, "--semantics", "convex-kk")
+        assert code == 1 and out == ""
+        assert err == "error: 13 atoms exceed the convex-kk limit of 12\n"
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "lp", "/nonexistent/input.lp")
         assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from aft.approx import ApproxPair, precision_leq, ultimate
 from aft.convex import (
+    CONVEX_ATOM_LIMIT,
     ConvexSpace,
     convex_kripke_kleene,
     embed_interval,
@@ -14,10 +16,10 @@ from aft.convex import (
     is_convex,
     lift_operator,
 )
-from aft.errors import ForeignElement, InconsistentPair
+from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms
 from aft.fixpoints import kripke_kleene
 from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
-from aft.lp import program_lattice, tp
+from aft.lp import parse_program, program_lattice, tp
 from conftest import fs
 
 
@@ -200,6 +202,17 @@ class TestConvexKripkeKleene:
             convex, _ = convex_kripke_kleene(lat, op)
             kk_ult, _ = kripke_kleene(ultimate(lat, op))
             assert convex <= embed_interval(kk_ult)
+
+    def test_refuses_universes_beyond_the_atom_limit(self):
+        chain = "\n".join(f"a{i} :- not a{i + 1}." for i in range(CONVEX_ATOM_LIMIT))
+        prog = parse_program(chain)
+        lat = program_lattice(prog)
+        start = time.process_time()
+        with pytest.raises(TooManyAtoms) as exc:
+            convex_kripke_kleene(lat, tp(prog, lat))
+        assert time.process_time() - start < 0.05
+        assert (exc.value.count, exc.value.limit) == (CONVEX_ATOM_LIMIT + 1, CONVEX_ATOM_LIMIT)
+        assert "convex-kk" in str(exc.value)
 
 
 class TestConvexSpace:

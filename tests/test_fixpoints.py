@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from aft.approx import Approximator, ApproxPair, dual, precision_leq, ultimate
+from aft.cli import SEMANTICS
 from aft.errors import (
     DivergenceGuard,
     NonMonotoneProjection,
@@ -10,7 +13,6 @@ from aft.fixpoints import (
     fixpoints_of,
     kripke_kleene,
     partial_stable_fixpoints,
-    semantics_report,
     stable_models,
     stable_operator,
     supported_fixpoints,
@@ -122,14 +124,20 @@ class TestClassicPrograms:
         assert stable_models(a) <= supported_fixpoints(a)
 
     def test_report_collects_everything(self, source, expected):
-        a = fitting(parse_program(source))
-        report = semantics_report(a)
-        assert report.kripke_kleene.raw() == expected["kk"]
-        assert report.well_founded.raw() == expected["wf"]
-        assert report.supported == expected["supported"]
-        assert raw_pairs(report.partial_stable) == expected["partial"]
-        assert report.stable == expected["stable"]
-        assert report.traces["kripke_kleene"][-1] == report.kripke_kleene
+        # every family through the command line's semantics table
+        prog = parse_program(source)
+        lat = program_lattice(prog)
+        a = fitting(prog, lat)
+        names = ("kk", "wf", "supported", "partial-stable", "stable")
+        (kk, kk_trace), (wf, _), (supported, _), (partial, _), (stable, _) = (
+            SEMANTICS[name][1](a, lat) for name in names
+        )
+        assert kk.raw() == expected["kk"]
+        assert wf.raw() == expected["wf"]
+        assert supported == expected["supported"]
+        assert raw_pairs(partial) == expected["partial"]
+        assert stable == expected["stable"]
+        assert kk_trace[-1] == kk
 
 
 class TestStableOperator:
@@ -168,6 +176,15 @@ class TestStableOperator:
         a = Approximator(lat, lambda lo, hi: (hi, lo), name="swap")
         with pytest.raises(DivergenceGuard):
             kripke_kleene(a)
+
+    def test_divergence_guard_is_bounded_by_height(self):
+        lat = PowersetLattice(f"a{i}" for i in range(16))
+        a = Approximator(lat, lambda lo, hi: (hi, lo), name="swap")
+        start = time.process_time()
+        with pytest.raises(DivergenceGuard) as exc:
+            kripke_kleene(a)
+        assert time.process_time() - start < 0.1
+        assert exc.value.bound == 33
 
 
 class TestUltimateSemantics:

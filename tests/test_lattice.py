@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from aft.errors import (
 )
 from aft.lattice import (
     FiniteLattice,
+    Lattice,
     LatticeOperator,
     PowersetLattice,
     is_monotone,
@@ -74,6 +77,51 @@ class TestVerifyLattice:
         lat = PowersetLattice({"p"})
         rel = [(a, b) for a in lat.elements for b in lat.elements if a <= b]
         assert FiniteLattice(lat.elements, rel) == lat
+
+
+class TestProtocol:
+    def test_kinds_are_siblings(self):
+        assert not issubclass(PowersetLattice, FiniteLattice)
+        assert issubclass(PowersetLattice, Lattice) and issubclass(FiniteLattice, Lattice)
+
+    def test_powerset_repr_does_not_enumerate(self):
+        lat = PowersetLattice(f"a{i}" for i in range(40))
+        start = time.process_time()
+        assert repr(lat) == f"<PowersetLattice with {2 ** 40} elements>"
+        assert time.process_time() - start < 0.1
+        assert "_all_subsets" not in lat.__dict__
+
+    def test_height_is_the_longest_chain(self, diamond):
+        assert diamond.height == 2
+        assert FiniteLattice.from_covers(range(5), [(i, i + 1) for i in range(4)]).height == 4
+        pentagon = FiniteLattice.from_covers(
+            ["0", "a", "b", "c", "1"],
+            [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+        )
+        assert pentagon.height == 3
+        assert FiniteLattice(["x"], [("x", "x")]).height == 0
+        assert PowersetLattice("pqr").height == 3
+
+    @given(st.sets(st.sampled_from("pqr")))
+    def test_powerset_agrees_with_its_extensional_copy(self, universe):
+        lat = PowersetLattice(universe)
+        copy = FiniteLattice(lat.elements, lat.consistent_pairs())
+        assert lat == copy and copy == lat
+        assert hash(lat) == hash(copy)
+        assert lat.height == copy.height
+        assert set(lat.consistent_pairs()) == set(copy.consistent_pairs())
+        assert lat.inverted() == copy.inverted()
+        assert (lat.inverted() == lat) == (not universe)
+        assert lat != PowersetLattice(set(universe) | {"z"})
+        assert lat.lub([]) == copy.lub([]) and lat.glb([]) == copy.glb([])
+        for x in lat.elements:
+            assert lat.up_covers(x) == copy.up_covers(x)
+            assert lat.down_covers(x) == copy.down_covers(x)
+            for y in lat.elements:
+                assert lat.leq(x, y) == copy.leq(x, y)
+                assert lat.lub([x, y]) == copy.lub([x, y])
+                assert lat.glb([x, y]) == copy.glb([x, y])
+                assert lat.interval(x, y) == copy.interval(x, y)
 
 
 class TestBounds:

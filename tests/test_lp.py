@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aft.corpus import random_program
 from aft.errors import ForeignAtom, ParseError, TooManyAtoms
 from aft.lp import (
     LogicProgram,
@@ -172,7 +175,7 @@ class TestOracle:
 
     def test_guard_on_large_universes(self):
         prog = LogicProgram([Rule(f"a{i}") for i in range(21)])
-        with pytest.raises(TooManyAtoms):
+        with pytest.raises(TooManyAtoms, match="stable-model oracle limit of 20"):
             stable_models_oracle(prog)
 
 
@@ -209,3 +212,7 @@ def stratified_by_closure(program):
 @given(programs())
 def test_stratified_matches_transitive_closure(prog):
     assert is_stratified(prog) == stratified_by_closure(prog)
+
+
+def test_random_program_over_no_atoms_is_empty():
+    assert random_program(random.Random(0), 0) == parse_program("")
