@@ -25,7 +25,7 @@ from .errors import (
     LatticeMismatch,
     NotPrecisionMonotone,
 )
-from .lattice import Element, Lattice, LatticeOperator, LawCheck
+from .lattice import SCAN_ATOM_LIMIT, Element, Lattice, LatticeOperator, LawCheck, check_atoms
 
 RawPair = tuple[Element, Element]
 
@@ -98,6 +98,12 @@ class Approximator:
     extensional table of them. Applications are memoized. When
     ``consistent_only`` is set the operator refuses inconsistent arguments.
     The approximated base operator, when known, is attached as ``operator``.
+
+    ``revision``, when given, maps y to the least fixpoint of
+    z -> A(z, y).lower, which the stable-operator routines then call instead
+    of iterating ``apply`` from bottom. Only a total, symmetric approximator
+    may carry it: symmetry makes z -> A(x, z).upper the same function as
+    z -> A(z, x).lower, so ``revision(x)`` is also the upper revision at x.
     """
 
     def __init__(
@@ -108,11 +114,15 @@ class Approximator:
         operator: LatticeOperator | None = None,
         name: str = "A",
         consistent_only: bool = False,
+        revision: Callable[[Element], Element] | None = None,
     ):
+        if revision is not None and consistent_only:
+            raise ValueError("a revision hook needs a total approximator")
         self.lattice = lattice
         self.operator = operator
         self.name = name
         self.consistent_only = consistent_only
+        self.revision = revision
         if isinstance(mapping, Mapping):
             table = dict(mapping)
             self._fn = lambda lo, hi: table[(lo, hi)]
@@ -230,7 +240,10 @@ def ultimate(lattice: Lattice, op: LatticeOperator, name: str | None = None) -> 
 
     On a consistent pair it meets and joins the operator's image over the
     denoted interval. Inconsistent pairs denote no interval and are rejected.
+    Lattices of more than 2**SCAN_ATOM_LIMIT elements are refused with
+    TooManyAtoms, since one step from (bottom, top) visits every element.
     """
+    check_atoms(lattice, SCAN_ATOM_LIMIT, "ultimate")
 
     def step(lower: Element, upper: Element) -> RawPair:
         images = [op(z) for z in lattice.interval(lower, upper)]

@@ -210,6 +210,13 @@ def _load_tabulated(text: str):
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed approximator table: {exc}") from exc
+    # counted before anything enumerates the lattice, which a short table
+    # over a large declared universe would otherwise have to do
+    needed = lat.size**2
+    if len(table) < needed:
+        raise ValueError(
+            f"approximator table is not total: {len(table)} pairs listed, {needed} needed"
+        )
     missing = [
         key for key in itertools.product(lat.elements, repeat=2) if key not in table
     ]

@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .approx import ApproxPair
-from .errors import DivergenceGuard, InconsistentPair, TooManyAtoms
-from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck
+from .errors import DivergenceGuard, InconsistentPair
+from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck, check_atoms
 
 ConvexSet = frozenset
 
@@ -90,9 +90,7 @@ def convex_kripke_kleene(
     Lattices of more than 2**CONVEX_ATOM_LIMIT elements are refused with
     TooManyAtoms, counting ceil(log2(size)) atoms.
     """
-    atoms = (lattice.size - 1).bit_length()
-    if atoms > CONVEX_ATOM_LIMIT:
-        raise TooManyAtoms(atoms, CONVEX_ATOM_LIMIT, "convex-kk")
+    check_atoms(lattice, CONVEX_ATOM_LIMIT, "convex-kk")
     lifted = lift_operator(lattice, op)
     cur = frozenset(lattice.elements)
     trace = [cur]

@@ -21,7 +21,7 @@ from .lp import LogicProgram, Rule
 
 DEFAULT_SEED = 42
 
-_ATOM_NAMES = "abcdefghij"
+_ATOM_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def two_atom_rules() -> tuple[Rule, ...]:
@@ -53,10 +53,16 @@ def exhaustive_two_atom_count() -> int:
     return 1 << len(two_atom_rules())
 
 
+def _names(n: int) -> list[str]:
+    if n > len(_ATOM_NAMES):
+        raise ValueError(f"random corpora name at most {len(_ATOM_NAMES)} atoms, not {n}")
+    return list(_ATOM_NAMES[:n])
+
+
 def random_program(rng: random.Random, n_atoms: int, max_body: int = 2) -> LogicProgram:
     if n_atoms == 0:
         return LogicProgram([])
-    atoms = list(_ATOM_NAMES[:n_atoms])
+    atoms = _names(n_atoms)
     n_rules = rng.randint(1, 2 * n_atoms)
     rules = []
     for _ in range(n_rules):
@@ -93,7 +99,7 @@ def random_formula(rng: random.Random, names: list[str], depth: int) -> Formula:
 
 
 def random_adf(rng: random.Random, n_statements: int, depth: int = 3) -> Adf:
-    names = list(_ATOM_NAMES[:n_statements])
+    names = _names(n_statements)
     conditions = {s: random_formula(rng, names, depth) for s in names}
     return Adf(names, conditions)
 

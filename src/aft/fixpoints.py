@@ -3,22 +3,29 @@
 For a precision-monotone operator on pairs this module computes the
 Kripke-Kleene fixpoint (the precision-least fixpoint, by iteration from the
 least precise pair), the supported fixpoints (exact fixpoints), the partial
-stable fixpoints (fixpoints of the stable operator, found by exhaustive scan
-over consistent pairs), the stable models (lowers of the exact ones), and the
-well-founded fixpoint (the precision-least fixpoint of the stable operator).
+stable fixpoints (fixpoints of the stable operator), the stable models
+(lowers of the exact ones), and the well-founded fixpoint (the
+precision-least fixpoint of the stable operator).
+
+The stable operator's two inner least fixpoints are taken from the
+approximator's ``revision`` hook when it carries one (the program frontend
+computes them as least models of the reduct) and otherwise by iterating the
+approximator from bottom. Partial stable pairs are found by a scan over
+lowers: the upper revision depends on the lower bound alone, so each lower
+has a single candidate upper.
 
 Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
 
-Exhaustive scans double as their own oracles and are the intended algorithms
-here; nothing is optimized past desk scale.
+Supported, stable and partial stable fixpoints come from exhaustive scans,
+which refuse lattices of more than 2**SCAN_ATOM_LIMIT elements.
 """
 
 from __future__ import annotations
 
 from .approx import Approximator, ApproxPair
 from .errors import DivergenceGuard, NonMonotoneProjection, StableRevisionUndefined
-from .lattice import Element, LatticeOperator, is_monotone
+from .lattice import SCAN_ATOM_LIMIT, Element, LatticeOperator, check_atoms, is_monotone
 
 
 def _iterate_to_fixpoint(a: Approximator, start, what: str):
@@ -58,17 +65,21 @@ def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
 def supported_fixpoints(a: Approximator) -> frozenset[Element]:
     """Elements whose exact pair is fixed; for an exactly-bracketing
     approximator these are precisely the fixpoints of the base operator."""
+    check_atoms(a.lattice, SCAN_ATOM_LIMIT, "supported scan")
     return frozenset(x for x in a.lattice.elements if a.apply(x, x) == (x, x))
 
 
 def _lower_revision(a: Approximator, upper: Element):
-    """Least fixpoint of z -> a(z, upper).lower, iterated from bottom.
+    """Least fixpoint of z -> a(z, upper).lower: the approximator's revision
+    hook when set, otherwise iterated from bottom.
 
     For a consistency-restricted operator the iteration is confined to the
     elements below ``upper``; None signals that it escaped, i.e. the revision
     is undefined there.
     """
     lat = a.lattice
+    if a.revision is not None:
+        return lat.check_element(a.revision(upper))
     z = lat.bottom
     bound = lat.height + 1
     for _ in range(bound):
@@ -84,11 +95,14 @@ def _lower_revision(a: Approximator, upper: Element):
 def _upper_revision(a: Approximator, lower: Element):
     """Least fixpoint of z -> a(lower, z).upper.
 
-    Iterated from bottom for total operators; a consistency-restricted
-    operator is iterated inside [lower, top] instead, starting at ``lower``,
-    with None signalling escape below ``lower``.
+    A symmetric approximator's revision hook gives it as the lower revision
+    at ``lower``. Otherwise it is iterated from bottom for total operators; a
+    consistency-restricted operator is iterated inside [lower, top] instead,
+    starting at ``lower``, with None signalling escape below ``lower``.
     """
     lat = a.lattice
+    if a.revision is not None:
+        return lat.check_element(a.revision(lower))
     z = lower if a.consistent_only else lat.bottom
     bound = lat.height + 1
     for _ in range(bound):
@@ -138,19 +152,25 @@ def stable_operator(a: Approximator, p: ApproxPair, *, validate: bool = False) -
 def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     """All consistent pairs the stable operator leaves fixed.
 
-    Pairs whose stable revision is undefined (possible only for
+    The upper half of the stable revision of (lo, hi) depends on lo alone,
+    so a fixpoint with lower lo can only have the upper revision at lo as its
+    upper: the scan visits each lower once, not each consistent pair. Pairs
+    whose stable revision is undefined (possible only for
     consistency-restricted approximators) are simply not fixpoints.
     """
     lat = a.lattice
+    check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan")
     found = []
-    for lo, hi in lat.consistent_pairs():
-        if _stable_raw(a, lo, hi) == (lo, hi):
+    for lo in lat.elements:
+        hi = _upper_revision(a, lo)
+        if hi is not None and lat.leq(lo, hi) and _stable_raw(a, lo, hi) == (lo, hi):
             found.append(ApproxPair(lat, lo, hi))
     return frozenset(found)
 
 
 def stable_models(a: Approximator) -> frozenset[Element]:
     """Lowers of the exact partial stable fixpoints; scans exact pairs only."""
+    check_atoms(a.lattice, SCAN_ATOM_LIMIT, "stable scan")
     return frozenset(x for x in a.lattice.elements if _stable_raw(a, x, x) == (x, x))
 
 

@@ -19,6 +19,7 @@ from .errors import (
     NonMonotoneOperator,
     NotALattice,
     NotAPartialOrder,
+    TooManyAtoms,
 )
 
 Element = Hashable
@@ -26,6 +27,12 @@ Element = Hashable
 # Exhaustive monotonicity re-checks are quadratic in the lattice; above this
 # size they are skipped unless explicitly requested.
 VALIDATION_LIMIT = 4096
+
+# The exhaustive scans (supported, stable, partial stable) and the ultimate
+# approximator enumerate the whole lattice or whole intervals of it; at 16
+# atoms each takes about a second and the cost at least doubles per atom, so
+# they refuse larger lattices.
+SCAN_ATOM_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,14 @@ class LawCheck:
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+def check_atoms(lattice: "Lattice", limit: int, what: str) -> None:
+    """Refuse a lattice of more than 2**limit elements with TooManyAtoms
+    naming the construction ``what``; atoms count as ceil(log2(size))."""
+    atoms = (lattice.size - 1).bit_length()
+    if atoms > limit:
+        raise TooManyAtoms(atoms, limit, what)
 
 
 class Lattice:

@@ -18,6 +18,7 @@ classical reduct.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -171,6 +172,46 @@ def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> Lattice
     return LatticeOperator(lat, step, name="tp")
 
 
+def _reduct_least_model(rules):
+    """A function from a set of blocked atoms to the least model of the
+    program's reduct by it, each call linear in the program (Dowling and
+    Gallier's counter procedure).
+
+    Rules whose negative body meets ``blocked`` are dropped; every other rule
+    counts the atoms of its positive body not yet derived, and fires when
+    the count reaches zero. Each derived atom is propagated once, through the
+    rules that watch it.
+    """
+    watch: dict[str, list[int]] = {}
+    for i, (_, pos, _) in enumerate(rules):
+        for b in pos:
+            watch.setdefault(b, []).append(i)
+    bodies = [(len(pos), neg) for _, pos, neg in rules]
+    heads = [h for h, _, _ in rules]
+
+    def least_model(blocked):
+        # a dropped rule starts below zero, so decrements never fire it
+        waiting = [n if neg.isdisjoint(blocked) else -1 for n, neg in bodies]
+        agenda = [h for h, n in zip(heads, waiting) if n == 0]
+        model = set()
+        while agenda:
+            atom = agenda.pop()
+            if atom in model:
+                continue
+            model.add(atom)
+            for i in watch.get(atom, ()):
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    agenda.append(heads[i])
+        return frozenset(model)
+
+    # the stable operator asks for the same revision again within a few
+    # calls: at lower and upper of an exact pair, at the bound a
+    # well-founded step left unchanged, and at a candidate's lower in the
+    # partial-stable scan; a few entries catch these without a growing memo
+    return functools.lru_cache(maxsize=4)(least_model)
+
+
 def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Approximator:
     """The four-valued bracketing operator of a program.
 
@@ -179,6 +220,9 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
     body is possible and whose negative body is not certain. On exact pairs
     both steps collapse to the one-step consequence operator. The formulas
     are total, inconsistent pairs included.
+
+    The operator is symmetric, and its lower revision at y is the least model
+    of the reduct by y, which it carries as its ``revision`` hook.
     """
     lat = lattice if lattice is not None else program_lattice(program)
     rules = [(r.head, r.pos, r.neg) for r in program.rules]
@@ -188,7 +232,9 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
         hi = frozenset(h for h, pos, neg in rules if pos <= upper and neg.isdisjoint(lower))
         return (lo, hi)
 
-    return Approximator(lat, step, operator=tp(program, lat), name="fitting")
+    return Approximator(
+        lat, step, operator=tp(program, lat), name="fitting", revision=_reduct_least_model(rules)
+    )
 
 
 def gl_reduct(program: LogicProgram, model: frozenset) -> LogicProgram:

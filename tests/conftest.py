@@ -1,5 +1,7 @@
 import pytest
 
+from aft.approx import ApproxPair
+from aft.fixpoints import _stable_raw
 from aft.lattice import FiniteLattice
 from aft.lp import parse_program
 
@@ -46,3 +48,15 @@ def diamond():
 
 def fs(*atoms):
     return frozenset(atoms)
+
+
+def partial_stable_oracle(a):
+    """Reference for ``partial_stable_fixpoints``: every consistent pair the
+    stable operator leaves fixed, by a scan over all of them (3**|U| pairs
+    on a powerset)."""
+    lat = a.lattice
+    return frozenset(
+        ApproxPair(lat, lo, hi)
+        for lo, hi in lat.consistent_pairs()
+        if _stable_raw(a, lo, hi) == (lo, hi)
+    )

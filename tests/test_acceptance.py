@@ -176,6 +176,7 @@ def _run_battery():
             kripke_kleene(enc)[0] == kripke_kleene(fit)[0]
             and stable_models(enc) == stable_models(fit)
             and well_founded(enc)[0] == well_founded(fit)[0]
+            and partial_stable_fixpoints(enc) == partial_stable_fixpoints(fit)
         )
         if not agree:
             stats["c8_violations"].append(prog.to_text())

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +60,22 @@ class TestRun:
         code, out, err = run(capsys, "lp", path, "--semantics", "convex-kk")
         assert code == 1 and out == ""
         assert err == "error: 13 atoms exceed the convex-kk limit of 12\n"
+
+    @pytest.mark.parametrize(
+        "semantics,what",
+        [
+            ("supported", "supported scan"),
+            ("stable", "stable scan"),
+            ("partial-stable", "partial-stable scan"),
+            ("ultimate-kk", "ultimate"),
+            ("ultimate-wf", "ultimate"),
+        ],
+    )
+    def test_scans_beyond_their_atom_limit_exit_1(self, tmp_path, capsys, semantics, what):
+        path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(16)))
+        code, out, err = run(capsys, "lp", path, "--semantics", semantics)
+        assert code == 1 and out == ""
+        assert err == f"error: 17 atoms exceed the {what} limit of 16\n"
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "lp", "/nonexistent/input.lp")
@@ -311,6 +328,17 @@ class TestCheck:
         code, _, err = run(capsys, "check", "tab", path)
         assert code == 1
         assert "not total" in err
+
+    def test_short_table_over_a_large_universe_is_refused_before_enumerating(self, tmp_path, capsys):
+        table = {"universe": [f"a{i}" for i in range(24)], "pairs": []}
+        path = write(tmp_path, "short.json", json.dumps(table))
+        start = time.process_time()
+        code, _, err = run(capsys, "check", "tab", path)
+        assert time.process_time() - start < 1.0
+        assert code == 1
+        assert err == (
+            "error: approximator table is not total: 0 pairs listed, 281474976710656 needed\n"
+        )
 
     def test_check_json_format(self, tmp_path, capsys):
         path = write(tmp_path, "two-cycle.lp", TWO_CYCLE)

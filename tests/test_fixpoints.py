@@ -1,15 +1,25 @@
+import itertools
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aft.adf import adf_approximator, program_to_adf
 from aft.approx import Approximator, ApproxPair, dual, precision_leq, ultimate
 from aft.cli import SEMANTICS
+from aft.corpus import random_adfs, random_program, random_programs
 from aft.errors import (
     DivergenceGuard,
     NonMonotoneProjection,
     StableRevisionUndefined,
+    TooManyAtoms,
 )
 from aft.fixpoints import (
+    _lower_revision,
+    _stable_raw,
+    _upper_revision,
     fixpoints_of,
     kripke_kleene,
     partial_stable_fixpoints,
@@ -18,9 +28,9 @@ from aft.fixpoints import (
     supported_fixpoints,
     well_founded,
 )
-from aft.lattice import PowersetLattice, lfp
+from aft.lattice import SCAN_ATOM_LIMIT, PowersetLattice, check_atoms, lfp
 from aft.lp import fitting, parse_program, program_lattice, stable_models_oracle, tp
-from conftest import DEFINITE, NEG_LOOP, POS_LOOP, TWO_CYCLE, fs
+from conftest import DEFINITE, NEG_LOOP, POS_LOOP, TWO_CYCLE, fs, partial_stable_oracle
 
 
 def raw_pairs(pairs):
@@ -233,3 +243,86 @@ class TestDualityTransport:
             kk, _ = kripke_kleene(a)
             kk_inv, _ = kripke_kleene(transported)
             assert kk_inv.raw() == (kk.upper, kk.lower)
+
+
+class TestRevisionHook:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_hook_agrees_with_iteration_on_every_pair(self, seed, n_atoms):
+        prog = random_program(random.Random(seed), n_atoms)
+        lat = program_lattice(prog)
+        hooked = fitting(prog, lat)
+        plain = fitting(prog, lat)
+        plain.revision = None
+        # every pair, inconsistent ones included
+        for lo, hi in itertools.product(lat.elements, repeat=2):
+            assert _lower_revision(hooked, hi) == _lower_revision(plain, hi)
+            assert _upper_revision(hooked, lo) == _upper_revision(plain, lo)
+            assert _stable_raw(hooked, lo, hi) == _stable_raw(plain, lo, hi)
+
+    def test_well_founded_on_a_long_chain_uses_only_the_hook(self):
+        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (331 atoms)
+        layers = 165
+        prog = parse_program(
+            "a0.\n"
+            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
+        )
+        a = fitting(prog)
+        calls = []
+        least_model = a.revision
+        a.revision = lambda blocked: calls.append(blocked) or least_model(blocked)
+        wf, trace = well_founded(a)
+        assert wf.exact and wf.lower == frozenset(f"a{i}" for i in range(layers + 1))
+        # one stable-operator application per trace entry, the last one
+        # confirming the fixpoint; each takes one hook call per bound
+        assert len(calls) == 2 * len(trace)
+        assert a._memo == {}
+
+    def test_hook_needs_a_total_approximator(self):
+        lat = PowersetLattice({"p"})
+        with pytest.raises(ValueError, match="total"):
+            Approximator(lat, lambda lo, hi: (lo, hi), consistent_only=True, revision=lambda y: y)
+
+
+class TestPartialStableScan:
+    def test_equals_the_pair_scan_on_programs(self):
+        for prog in random_programs(120, seed=7, min_atoms=1, max_atoms=5):
+            lat = program_lattice(prog)
+            a = fitting(prog, lat)
+            expected = partial_stable_oracle(a)
+            assert partial_stable_fixpoints(a) == expected
+            assert partial_stable_fixpoints(adf_approximator(program_to_adf(prog))) == expected
+            ult = ultimate(lat, a.operator)
+            assert partial_stable_fixpoints(ult) == partial_stable_oracle(ult)
+
+    def test_equals_the_pair_scan_on_frameworks(self):
+        for framework in random_adfs(60, seed=7, max_statements=4):
+            a = adf_approximator(framework)
+            assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
+
+
+class TestAtomLimits:
+    @pytest.mark.parametrize(
+        "construction,what",
+        [
+            (supported_fixpoints, "supported scan"),
+            (stable_models, "stable scan"),
+            (partial_stable_fixpoints, "partial-stable scan"),
+            (lambda a: ultimate(a.lattice, a.operator), "ultimate"),
+        ],
+        ids=["supported", "stable", "partial-stable", "ultimate"],
+    )
+    def test_refused_above_the_limit(self, construction, what):
+        atoms = SCAN_ATOM_LIMIT + 1
+        prog = parse_program("\n".join(f"a{i} :- not a{i + 1}." for i in range(atoms - 1)))
+        a = fitting(prog)
+        start = time.process_time()
+        with pytest.raises(TooManyAtoms, match=f"17 atoms exceed the {what} limit of 16"):
+            construction(a)
+        assert time.process_time() - start < 0.1
+
+    def test_limit_admits_its_own_size(self):
+        lat = PowersetLattice(f"a{i}" for i in range(SCAN_ATOM_LIMIT))
+        check_atoms(lat, SCAN_ATOM_LIMIT, "scan")
+        with pytest.raises(TooManyAtoms):
+            check_atoms(lat, SCAN_ATOM_LIMIT - 1, "scan")

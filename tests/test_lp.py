@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aft.corpus import random_program
+from aft.corpus import random_adf, random_adfs, random_program, random_programs
 from aft.errors import ForeignAtom, ParseError, TooManyAtoms
 from aft.lp import (
     LogicProgram,
@@ -216,3 +217,26 @@ def test_stratified_matches_transitive_closure(prog):
 
 def test_random_program_over_no_atoms_is_empty():
     assert random_program(random.Random(0), 0) == parse_program("")
+
+
+def test_random_corpora_name_up_to_26_atoms():
+    assert len(random_adf(random.Random(1), 14).statements) == 14
+    assert len(random_program(random.Random(1), 26).atoms) <= 26
+    with pytest.raises(ValueError, match="at most 26"):
+        random_program(random.Random(1), 27)
+    with pytest.raises(ValueError, match="at most 26"):
+        random_adf(random.Random(1), 27)
+
+
+def test_seeded_corpora_are_unchanged():
+    # digests of the corpora the acceptance battery draws: growing the name
+    # alphabet must not change any draw of ten atoms or fewer
+    def digest(texts):
+        return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+
+    assert digest(p.to_text() for p in random_programs(500, seed=42)) == (
+        "9a55ded31011b1dcc3c6d85da467808f68a752754780d90d6bbea560eb8906af"
+    )
+    assert digest(f.to_text() for f in random_adfs(100, seed=42)) == (
+        "9b7da55daca0c9069b7291e54712baf623356569ea640b91bf66dd8077638400"
+    )
