@@ -29,6 +29,12 @@ from .lattice import SCAN_ATOM_LIMIT, Element, Lattice, LatticeOperator, LawChec
 
 RawPair = tuple[Element, Element]
 
+# The exhaustive law checks (precision-monotonicity, symmetry, fixpoints_of)
+# enumerate and memoize all 4**|U| pairs, so their cost grows fivefold per
+# atom: `aft check lp` on a negation chain takes 1.6 s and 90 MB at 8 atoms
+# and 8.7 s and 360 MB at 9. They refuse larger lattices.
+LAW_ATOM_LIMIT = 8
+
 
 @dataclass(frozen=True, eq=False)
 class ApproxPair:
@@ -153,7 +159,12 @@ class Approximator:
         return ApproxPair(self.lattice, lo, hi)
 
     def domain(self) -> Iterator[RawPair]:
-        """All pairs this operator is defined on, as raw tuples."""
+        """All pairs this operator is defined on, as raw tuples.
+
+        Lattices of more than 2**LAW_ATOM_LIMIT elements are refused with
+        TooManyAtoms when this is called, before anything is enumerated.
+        """
+        check_atoms(self.lattice, LAW_ATOM_LIMIT, "law check")
         if self.consistent_only:
             return self.lattice.consistent_pairs()
         return itertools.product(self.lattice.elements, repeat=2)

@@ -16,6 +16,7 @@ output is schema-stable and carries ``"schema": "aft/1"``.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -344,7 +345,10 @@ def _cmd_compare(args) -> int:
 # -- entry -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and then reused: parsing leaves
+    # the parser unchanged, and building it costs about a millisecond
     parser = argparse.ArgumentParser(
         prog="aft",
         description="Fixpoint semantics of logic programs and dialectical frameworks.",

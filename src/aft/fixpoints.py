@@ -18,7 +18,14 @@ Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
 
 Supported, stable and partial stable fixpoints come from exhaustive scans,
-which refuse lattices of more than 2**SCAN_ATOM_LIMIT elements.
+which refuse lattices of more than 2**SCAN_ATOM_LIMIT elements. Each scan
+first computes the fixpoint its results must refine (Denecker, Marek and
+Truszczynski 2000): every fixpoint of a precision-monotone approximator is at
+least as precise as the Kripke-Kleene fixpoint, and every partial stable
+fixpoint at least as precise as the well-founded one. So supported candidates
+come from the interval between the Kripke-Kleene bounds, and stable and
+partial stable candidates from the interval between the well-founded bounds:
+2**|unknown| elements rather than 2**|U|.
 """
 
 from __future__ import annotations
@@ -64,9 +71,16 @@ def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
 
 def supported_fixpoints(a: Approximator) -> frozenset[Element]:
     """Elements whose exact pair is fixed; for an exactly-bracketing
-    approximator these are precisely the fixpoints of the base operator."""
-    check_atoms(a.lattice, SCAN_ATOM_LIMIT, "supported scan")
-    return frozenset(x for x in a.lattice.elements if a.apply(x, x) == (x, x))
+    approximator these are precisely the fixpoints of the base operator.
+
+    The approximator must be precision-monotone: the scan visits only the
+    elements between the bounds of its Kripke-Kleene fixpoint, which every
+    fixed exact pair refines.
+    """
+    lat = a.lattice
+    check_atoms(lat, SCAN_ATOM_LIMIT, "supported scan")
+    kk, _ = kripke_kleene(a)
+    return frozenset(x for x in lat.interval(kk.lower, kk.upper) if a.apply(x, x) == (x, x))
 
 
 def _lower_revision(a: Approximator, upper: Element):
@@ -154,14 +168,17 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
 
     The upper half of the stable revision of (lo, hi) depends on lo alone,
     so a fixpoint with lower lo can only have the upper revision at lo as its
-    upper: the scan visits each lower once, not each consistent pair. Pairs
+    upper: the scan visits each lower once, not each consistent pair. The
+    approximator must be precision-monotone: every fixpoint then refines the
+    well-founded one, so only lowers between its bounds are visited. Pairs
     whose stable revision is undefined (possible only for
     consistency-restricted approximators) are simply not fixpoints.
     """
     lat = a.lattice
     check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan")
+    wf, _ = well_founded(a)
     found = []
-    for lo in lat.elements:
+    for lo in lat.interval(wf.lower, wf.upper):
         hi = _upper_revision(a, lo)
         if hi is not None and lat.leq(lo, hi) and _stable_raw(a, lo, hi) == (lo, hi):
             found.append(ApproxPair(lat, lo, hi))
@@ -169,9 +186,18 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
 
 
 def stable_models(a: Approximator) -> frozenset[Element]:
-    """Lowers of the exact partial stable fixpoints; scans exact pairs only."""
-    check_atoms(a.lattice, SCAN_ATOM_LIMIT, "stable scan")
-    return frozenset(x for x in a.lattice.elements if _stable_raw(a, x, x) == (x, x))
+    """Lowers of the exact partial stable fixpoints; scans exact pairs only.
+
+    The approximator must be precision-monotone: the scan visits only the
+    elements between the bounds of its well-founded fixpoint, which every
+    stable model refines.
+    """
+    lat = a.lattice
+    check_atoms(lat, SCAN_ATOM_LIMIT, "stable scan")
+    wf, _ = well_founded(a)
+    return frozenset(
+        x for x in lat.interval(wf.lower, wf.upper) if _stable_raw(a, x, x) == (x, x)
+    )
 
 
 def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:

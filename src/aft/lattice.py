@@ -317,10 +317,10 @@ class PowersetLattice(Lattice):
         self.check_element(y)
         if not x <= y:
             return frozenset()
-        extra = [frozenset()]
+        members = [x]
         for a in sorted(y - x):
-            extra += [m | {a} for m in extra]
-        return frozenset(x | m for m in extra)
+            members += [m | {a} for m in members]
+        return frozenset(members)
 
     def up_covers(self, x) -> frozenset:
         return frozenset(x | {a} for a in self.universe - x)

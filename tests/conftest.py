@@ -60,3 +60,26 @@ def partial_stable_oracle(a):
         for lo, hi in lat.consistent_pairs()
         if _stable_raw(a, lo, hi) == (lo, hi)
     )
+
+
+def supported_oracle(a):
+    """Reference for ``supported_fixpoints``: every element whose exact pair
+    the approximator leaves fixed, by a scan over the whole lattice."""
+    return frozenset(x for x in a.lattice.elements if a.apply(x, x) == (x, x))
+
+
+def stable_oracle(a):
+    """Reference for ``stable_models``: every element whose exact pair the
+    stable operator leaves fixed, by a scan over the whole lattice."""
+    return frozenset(x for x in a.lattice.elements if _stable_raw(a, x, x) == (x, x))
+
+
+def hull_oracle(lattice, members):
+    """Reference for ``hull``: every element with a member below it and a
+    member above it, testing each element against each member."""
+    s = frozenset(members)
+    return frozenset(
+        y
+        for y in lattice.elements
+        if any(lattice.leq(a, y) for a in s) and any(lattice.leq(y, b) for b in s)
+    )

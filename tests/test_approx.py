@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from aft.approx import (
+    LAW_ATOM_LIMIT,
     Approximator,
     ApproxPair,
     approximates,
@@ -23,7 +25,9 @@ from aft.errors import (
     InconsistentPair,
     LatticeMismatch,
     NotPrecisionMonotone,
+    TooManyAtoms,
 )
+from aft.fixpoints import fixpoints_of
 from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
 from aft.lp import fitting, parse_program, program_lattice, tp
 from conftest import fs
@@ -149,6 +153,25 @@ class TestVerifyApproximator:
         with pytest.raises(DoesNotApproximateO) as exc:
             verify_approximator(a)
         assert exc.value.witness == fs()
+
+    @pytest.mark.parametrize(
+        "law_check",
+        [verify_approximator, is_precision_monotone, is_symmetric, fixpoints_of, Approximator.domain],
+        ids=["verify", "precision-monotone", "symmetric", "fixpoints_of", "domain"],
+    )
+    def test_law_checks_refuse_above_the_limit(self, law_check):
+        atoms = LAW_ATOM_LIMIT + 1
+        a = fitting(parse_program("\n".join(f"a{i} :- not a{i + 1}." for i in range(atoms - 1))))
+        start = time.process_time()
+        with pytest.raises(TooManyAtoms, match="9 atoms exceed the law check limit of 8"):
+            law_check(a)
+        assert time.process_time() - start < 1.0
+        assert a._memo == {}
+
+    def test_law_limit_admits_its_own_size(self):
+        lat = PowersetLattice(f"a{i}" for i in range(LAW_ATOM_LIMIT))
+        a = Approximator(lat, lambda lo, hi: (lo, hi))
+        assert next(a.domain()) in itertools.product(lat.elements, repeat=2)
 
     def test_exactness_is_stricter_than_bracketing(self, two_cycle):
         lat = program_lattice(two_cycle)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import aft
-from aft.cli import main
+from aft.cli import build_parser, main
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lp import fitting, parse_program
 from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE
@@ -76,6 +76,35 @@ class TestRun:
         code, out, err = run(capsys, "lp", path, "--semantics", semantics)
         assert code == 1 and out == ""
         assert err == f"error: 17 atoms exceed the {what} limit of 16\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "lp"), ("lp", "--validate", "--semantics", "kk")],
+        ids=["check", "validate"],
+    )
+    def test_law_checks_beyond_their_atom_limit_exit_1(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(8)))
+        start = time.process_time()
+        code, out, err = run(capsys, *argv[:2], path, *argv[2:])
+        assert time.process_time() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == "error: 9 atoms exceed the law check limit of 8\n"
+
+    def test_successive_calls_share_one_parser(self, tmp_path, capsys):
+        path = write(tmp_path, "two-cycle.lp", TWO_CYCLE)
+        assert build_parser() is build_parser()
+        first = run(capsys, "lp", path, "--semantics", "wf")
+        assert first == (0, "wf: p: unknown, q: unknown\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["lp", path, "--format", "xml"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # the same refusal a freshly built parser gives
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args(["lp", path, "--format", "xml"])
+        assert capsys.readouterr().err == err
+        assert "invalid choice: 'xml'" in err
+        assert run(capsys, "lp", path, "--semantics", "wf") == first
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "lp", "/nonexistent/input.lp")

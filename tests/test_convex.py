@@ -20,7 +20,7 @@ from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms
 from aft.fixpoints import kripke_kleene
 from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
-from conftest import fs
+from conftest import fs, hull_oracle
 
 
 def join_a(diamond):
@@ -104,6 +104,45 @@ def test_hull_is_a_closure_operator(name, data):
         smaller = hx - {drop}
         if x <= smaller and is_convex(lat, smaller):
             pytest.fail(f"hull not minimal: {smaller} is convex and contains {x}")
+
+
+@st.composite
+def closure_systems(draw):
+    """A random finite lattice: an intersection-closed family of subsets of a
+    small universe, holding the universe, ordered by inclusion."""
+    universe = frozenset(range(draw(st.integers(1, 4))))
+    subsets = st.frozensets(st.sampled_from(sorted(universe)))
+    family = {universe} | draw(st.sets(subsets, max_size=6))
+    while True:
+        closed = family | {s & t for s in family for t in family}
+        if closed == family:
+            break
+        family = closed
+    return FiniteLattice(family, [(s, t) for s in family for t in family if s <= t])
+
+
+@st.composite
+def lattices_with_members(draw):
+    kind = draw(st.sampled_from(["diamond", "five", "closure", "powerset"]))
+    if kind == "diamond":
+        lat = FiniteLattice.from_covers(
+            ["bot", "a", "b", "top"],
+            [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+        )
+    elif kind == "five":
+        lat = FIVE_ELEMENT_LATTICES[draw(st.sampled_from(sorted(FIVE_ELEMENT_LATTICES)))]
+    elif kind == "closure":
+        lat = draw(closure_systems())
+    else:
+        lat = PowersetLattice(range(draw(st.integers(0, 4))))
+    members = draw(st.frozensets(st.sampled_from(sorted(lat.elements, key=repr))))
+    return lat, members
+
+
+@given(lattices_with_members())
+def test_hull_equals_the_member_comparison_oracle(case):
+    lat, members = case
+    assert hull(lat, members) == hull_oracle(lat, members)
 
 
 class TestEmbedInterval:

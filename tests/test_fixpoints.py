@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aft import fixpoints
 from aft.adf import adf_approximator, program_to_adf
 from aft.approx import Approximator, ApproxPair, dual, precision_leq, ultimate
 from aft.cli import SEMANTICS
-from aft.corpus import random_adfs, random_program, random_programs
+from aft.corpus import random_adf, random_adfs, random_program, random_programs
 from aft.errors import (
     DivergenceGuard,
     NonMonotoneProjection,
@@ -30,7 +31,16 @@ from aft.fixpoints import (
 )
 from aft.lattice import SCAN_ATOM_LIMIT, PowersetLattice, check_atoms, lfp
 from aft.lp import fitting, parse_program, program_lattice, stable_models_oracle, tp
-from conftest import DEFINITE, NEG_LOOP, POS_LOOP, TWO_CYCLE, fs, partial_stable_oracle
+from conftest import (
+    DEFINITE,
+    NEG_LOOP,
+    POS_LOOP,
+    TWO_CYCLE,
+    fs,
+    partial_stable_oracle,
+    stable_oracle,
+    supported_oracle,
+)
 
 
 def raw_pairs(pairs):
@@ -299,6 +309,48 @@ class TestPartialStableScan:
         for framework in random_adfs(60, seed=7, max_statements=4):
             a = adf_approximator(framework)
             assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
+
+
+class TestBoundedScans:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_equal_the_whole_lattice_scans_on_programs(self, seed, n_atoms):
+        prog = random_program(random.Random(seed), n_atoms)
+        lat = program_lattice(prog)
+        fit = fitting(prog, lat)
+        for a in (fit, adf_approximator(program_to_adf(prog)), ultimate(lat, fit.operator)):
+            assert supported_fixpoints(a) == supported_oracle(a)
+            assert stable_models(a) == stable_oracle(a)
+            assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_equal_the_whole_lattice_scans_on_frameworks(self, seed, n_statements):
+        a = adf_approximator(random_adf(random.Random(seed), n_statements))
+        assert supported_fixpoints(a) == supported_oracle(a)
+        assert stable_models(a) == stable_oracle(a)
+        assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
+
+    def test_stable_scan_of_an_exact_well_founded_model_visits_one_candidate(self, monkeypatch):
+        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (15 atoms)
+        layers = 7
+        prog = parse_program(
+            "a0.\n"
+            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
+        )
+        a = fitting(prog)
+        wf, trace = well_founded(a)
+        assert wf.exact
+        calls = []
+        stable_raw = fixpoints._stable_raw
+        monkeypatch.setattr(
+            fixpoints,
+            "_stable_raw",
+            lambda a, lo, hi: calls.append((lo, hi)) or stable_raw(a, lo, hi),
+        )
+        assert stable_models(a) == {wf.lower}
+        # the inner well-founded iteration makes one call per trace entry
+        assert calls[len(trace):] == [(wf.lower, wf.upper)]
 
 
 class TestAtomLimits:
