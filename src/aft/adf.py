@@ -14,9 +14,12 @@ The induced pair-space operator evaluates every condition in strong Kleene
 three-valued logic: the lower revision collects statements whose condition is
 true, the upper revision those whose condition is not false. The usual
 semantics names map onto the fixpoint families as: grounded is the
-Kripke-Kleene fixpoint, complete the consistent fixpoints of the operator,
-two-valued models the supported fixpoints, stable the stable models, and
-well-founded the well-founded fixpoint.
+Kripke-Kleene fixpoint of the ultimate approximator (``ultimate-kk``), of
+which the strong Kleene ``kk`` is an approximation that can be less precise
+(on ``s(a). s(b). ac(a, or(b, neg(b))). ac(b, b).`` it leaves a unknown,
+where the grounded interpretation makes it true); complete the consistent
+fixpoints of the operator, two-valued models the supported fixpoints,
+stable the stable models, and well-founded the well-founded fixpoint.
 
 Attack networks in the style of abstract argumentation are expressible
 directly (no separate frontend): give each argument the conjunction of the

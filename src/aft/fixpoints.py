@@ -17,15 +17,16 @@ has a single candidate upper.
 Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
 
-Supported, stable and partial stable fixpoints come from exhaustive scans,
-which refuse lattices of more than 2**SCAN_ATOM_LIMIT elements. Each scan
-first computes the fixpoint its results must refine (Denecker, Marek and
-Truszczynski 2000): every fixpoint of a precision-monotone approximator is at
-least as precise as the Kripke-Kleene fixpoint, and every partial stable
-fixpoint at least as precise as the well-founded one. So supported candidates
-come from the interval between the Kripke-Kleene bounds, and stable and
-partial stable candidates from the interval between the well-founded bounds:
-2**|unknown| elements rather than 2**|U|.
+Supported fixpoints and stable models are found by propagate, prune and
+branch. Every fixed exact pair of a precision-monotone approximator refines
+the Kripke-Kleene fixpoint, and inside any pair (l, u) also A(l, u); every
+stable model refines the well-founded fixpoint, and inside (l, u) also the
+stable revision of (l, u) (Denecker, Marek and Truszczynski 2000). So each
+search starts from its bound, narrows a pair with A or the stable revision
+until it stops changing, and then splits it on one unknown atom; exact
+pairs are kept only after the full fixpoint check. The two searches and
+the partial stable scan, which visits the lowers between the well-founded
+bounds, refuse more than SCAN_ATOM_LIMIT atoms left unknown by their bound.
 """
 
 from __future__ import annotations
@@ -69,18 +70,50 @@ def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
     )
 
 
+def _search(a: Approximator, start, propagate, accept) -> frozenset[Element]:
+    """The elements x refining the pair ``start`` for which ``accept(x)``
+    holds, by propagate, prune and branch.
+
+    ``propagate(lo, hi)`` returns a pair between whose bounds every sought
+    element between lo and hi lies, or None when there is none. A pair is
+    narrowed by it until it stops changing; then an inconsistent pair is
+    pruned, an exact one kept when ``accept`` holds (propagation alone is no
+    proof), and any other split by the lattice. On a powerset that branches
+    on one unknown atom; on an explicit lattice it falls back to the exact
+    pairs of the interval.
+    """
+    lat = a.lattice
+    found = []
+    todo = [start]
+    while todo:
+        lo, hi = todo.pop()
+        while lo != hi and lat.leq(lo, hi):
+            out = propagate(lo, hi)
+            if out is None:
+                break
+            nxt = (lat.lub((lo, out[0])), lat.glb((hi, out[1])))
+            if nxt == (lo, hi):
+                todo.extend(lat.split(lo, hi))
+                break
+            lo, hi = nxt
+        else:
+            if lo == hi and accept(lo):
+                found.append(lo)
+    return frozenset(found)
+
+
 def supported_fixpoints(a: Approximator) -> frozenset[Element]:
     """Elements whose exact pair is fixed; for an exactly-bracketing
     approximator these are precisely the fixpoints of the base operator.
 
-    The approximator must be precision-monotone: the scan visits only the
-    elements between the bounds of its Kripke-Kleene fixpoint, which every
-    fixed exact pair refines.
+    The approximator must be precision-monotone: every fixed exact pair then
+    refines its Kripke-Kleene fixpoint and, inside any pair (lo, hi), refines
+    A(lo, hi), so the search starts at the former and propagates with A.
     """
     lat = a.lattice
-    check_atoms(lat, SCAN_ATOM_LIMIT, "supported scan")
     kk, _ = kripke_kleene(a)
-    return frozenset(x for x in lat.interval(kk.lower, kk.upper) if a.apply(x, x) == (x, x))
+    check_atoms(lat, SCAN_ATOM_LIMIT, "supported scan", kk.raw())
+    return _search(a, kk.raw(), a.apply, lambda x: a.apply(x, x) == (x, x))
 
 
 def _lower_revision(a: Approximator, upper: Element):
@@ -175,8 +208,8 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     consistency-restricted approximators) are simply not fixpoints.
     """
     lat = a.lattice
-    check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan")
     wf, _ = well_founded(a)
+    check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan", wf.raw())
     found = []
     for lo in lat.interval(wf.lower, wf.upper):
         hi = _upper_revision(a, lo)
@@ -185,18 +218,41 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     return frozenset(found)
 
 
-def stable_models(a: Approximator) -> frozenset[Element]:
-    """Lowers of the exact partial stable fixpoints; scans exact pairs only.
+def _stable_bounds(a: Approximator, lower: Element, upper: Element):
+    """A pair between whose bounds every stable model between lower and
+    upper lies, or None when there is none.
 
-    The approximator must be precision-monotone: the scan visits only the
-    elements between the bounds of its well-founded fixpoint, which every
-    stable model refines.
+    That is the stable revision of (lower, upper) for a total approximator.
+    A consistency-restricted one iterates its upper revision inside
+    [lower, top] from lower, which need not bound the stable models above;
+    but every stable model is an exact fixpoint, so A(lower, upper) bounds
+    them on both sides, and the lower revision at upper bounds them below.
+    """
+    if not a.consistent_only:
+        return _stable_raw(a, lower, upper)
+    lo = _lower_revision(a, upper)
+    if lo is None:
+        return None
+    out_lo, out_hi = a.apply(lower, upper)
+    return (a.lattice.lub((lo, out_lo)), out_hi)
+
+
+def stable_models(a: Approximator) -> frozenset[Element]:
+    """Lowers of the exact partial stable fixpoints.
+
+    The approximator must be precision-monotone: every stable model then
+    refines its well-founded fixpoint and, inside any pair, the pair's
+    stable revision (Denecker, Marek and Truszczynski 2000), so the search
+    starts at the former and propagates with ``_stable_bounds``.
     """
     lat = a.lattice
-    check_atoms(lat, SCAN_ATOM_LIMIT, "stable scan")
     wf, _ = well_founded(a)
-    return frozenset(
-        x for x in lat.interval(wf.lower, wf.upper) if _stable_raw(a, x, x) == (x, x)
+    check_atoms(lat, SCAN_ATOM_LIMIT, "stable scan", wf.raw())
+    return _search(
+        a,
+        wf.raw(),
+        lambda lo, hi: _stable_bounds(a, lo, hi),
+        lambda x: _stable_raw(a, x, x) == (x, x),
     )
 
 

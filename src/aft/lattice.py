@@ -28,10 +28,14 @@ Element = Hashable
 # size they are skipped unless explicitly requested.
 VALIDATION_LIMIT = 4096
 
-# The exhaustive scans (supported, stable, partial stable) and the ultimate
-# approximator enumerate the whole lattice or whole intervals of it; at 16
-# atoms each takes about a second and the cost at least doubles per atom, so
-# they refuse larger lattices.
+# The ultimate approximator's first step evaluates the operator on every
+# element (2 s at 16 atoms), and the partial stable scan visits each element
+# between the well-founded bounds (0.6 s at 16 unknown atoms). The supported
+# and stable searches branch on the atoms the Kripke-Kleene or well-founded
+# pair leaves unknown; propagation usually prunes most branches, but where it
+# narrows nothing they evaluate a whole binary tree (3.5 s for 2**16
+# supported models). So ultimate refuses more than this many atoms, and the
+# scan and searches more than this many unknown atoms.
 SCAN_ATOM_LIMIT = 16
 
 
@@ -46,10 +50,12 @@ class LawCheck:
         return self.holds
 
 
-def check_atoms(lattice: "Lattice", limit: int, what: str) -> None:
-    """Refuse a lattice of more than 2**limit elements with TooManyAtoms
-    naming the construction ``what``; atoms count as ceil(log2(size))."""
-    atoms = (lattice.size - 1).bit_length()
+def check_atoms(lattice: "Lattice", limit: int, what: str, bounds: tuple | None = None) -> None:
+    """Refuse with TooManyAtoms naming the construction ``what`` when more
+    than ``limit`` atoms lie between the pair ``bounds``, by default the
+    bottom and top of the lattice; see ``Lattice.atoms_between``."""
+    lower, upper = bounds if bounds is not None else (lattice.bottom, lattice.top)
+    atoms = lattice.atoms_between(lower, upper)
     if atoms > limit:
         raise TooManyAtoms(atoms, limit, what)
 
@@ -60,7 +66,9 @@ class Lattice:
     Each kind supplies its primitives: ``bottom``, ``top``, ``elements``,
     ``size``, ``height`` (the number of steps in a longest chain), ``has``,
     ``leq``, ``lub``, ``glb``, ``interval``, ``up_covers`` and
-    ``down_covers``. Everything else is derived here from those, once.
+    ``down_covers``. Everything else is derived here from those, once;
+    ``atoms_between`` and ``split`` are derived by enumerating an interval,
+    which a kind may replace with something cheaper.
     """
 
     def check_element(self, x: Element) -> Element:
@@ -70,6 +78,17 @@ class Lattice:
 
     def lt(self, a: Element, b: Element) -> bool:
         return a != b and self.leq(a, b)
+
+    def atoms_between(self, x: Element, y: Element) -> int:
+        """The atoms left open between x and y: ceil(log2) of the number of
+        elements in the interval."""
+        return (len(self.interval(x, y)) - 1).bit_length()
+
+    def split(self, x: Element, y: Element) -> list[tuple[Element, Element]]:
+        """Pairs more precise than (x, y), for x strictly below y, whose
+        intervals together cover the interval between x and y; here its
+        exact pairs."""
+        return [(z, z) for z in self.interval(x, y)]
 
     def consistent_pairs(self) -> Iterator[tuple[Element, Element]]:
         """All pairs (x, y) with x <= y."""
@@ -327,6 +346,15 @@ class PowersetLattice(Lattice):
 
     def down_covers(self, x) -> frozenset:
         return frozenset(x - {a} for a in x)
+
+    def atoms_between(self, x, y) -> int:
+        return len(y - x)
+
+    def split(self, x, y) -> list[tuple[frozenset, frozenset]]:
+        """The least atom left open between x and y, once true and once
+        false."""
+        p = min(y - x)
+        return [(x | {p}, y), (x, y - {p})]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PowersetLattice):

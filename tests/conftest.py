@@ -13,6 +13,21 @@ SEPARATOR = "p :- q.\np :- not q.\nq :- q.\n"
 ABC_ADF = "s(a). s(b). s(c).\nac(a, true). ac(b, a). ac(c, neg(b)).\n"
 
 
+FIVE_ELEMENT_LATTICES = {
+    "chain5": FiniteLattice.from_covers(
+        range(5), [(i, i + 1) for i in range(4)]
+    ),
+    "pentagon": FiniteLattice.from_covers(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+    ),
+    "m3": FiniteLattice.from_covers(
+        ["0", "x", "y", "z", "1"],
+        [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")],
+    ),
+}
+
+
 @pytest.fixture
 def two_cycle():
     return parse_program(TWO_CYCLE)

@@ -18,7 +18,13 @@ from aft.adf import (
     parse_adf,
     program_to_adf,
 )
-from aft.approx import ApproxPair, is_exact_approximator, is_symmetric, verify_approximator
+from aft.approx import (
+    ApproxPair,
+    is_exact_approximator,
+    is_symmetric,
+    ultimate,
+    verify_approximator,
+)
 from aft.errors import MissingCondition, ParseError, UndeclaredStatement
 from aft.fixpoints import (
     fixpoints_of,
@@ -178,6 +184,14 @@ class TestSemantics:
     def test_empty_framework(self):
         a = adf_approximator(parse_adf(""))
         assert kripke_kleene(a)[0].raw() == (fs(), fs())
+
+    def test_grounded_is_the_ultimate_kripke_kleene_fixpoint(self):
+        # b or not b is true under every completion, which strong Kleene
+        # does not see while b is unknown
+        a = adf_approximator(parse_adf("s(a). s(b). ac(a, or(b, neg(b))). ac(b, b)."))
+        grounded, _ = kripke_kleene(ultimate(a.lattice, a.operator))
+        assert grounded.raw() == (fs("a"), fs("a", "b"))
+        assert kripke_kleene(a)[0].raw() == (fs(), fs("a", "b"))
 
     def test_grounded_trace_matches_iteration(self):
         _, trace = kripke_kleene(adf_approximator(parse_adf(ABC)))

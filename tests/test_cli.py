@@ -14,6 +14,8 @@ from aft.lp import fitting, parse_program
 from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE
 
 SELF_ATTACK = "s(a). ac(a, neg(a)).\n"
+SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(17))
+CHAIN = "\n".join(f"a{i} :- not a{i + 1}." for i in range(16))
 
 
 def write(tmp_path, name, text):
@@ -72,10 +74,26 @@ class TestRun:
         ],
     )
     def test_scans_beyond_their_atom_limit_exit_1(self, tmp_path, capsys, semantics, what):
-        path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(16)))
+        # the scans count the atoms kk or wf leave unknown: all 17
+        # self-attacks, but none of the chain, which ultimate refuses
+        source = CHAIN if what == "ultimate" else SELF_ATTACKS
+        path = write(tmp_path, "many.lp", source)
         code, out, err = run(capsys, "lp", path, "--semantics", semantics)
         assert code == 1 and out == ""
         assert err == f"error: 17 atoms exceed the {what} limit of 16\n"
+
+    def test_stable_on_a_large_universe_the_well_founded_model_decides(self, tmp_path, capsys):
+        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (21 atoms)
+        layers = 10
+        path = write(
+            tmp_path,
+            "layers.lp",
+            "a0.\n"
+            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers)),
+        )
+        code, out, err = run(capsys, "lp", path, "--semantics", "stable", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["stable"] == [sorted(f"a{i}" for i in range(layers + 1))]
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,7 +20,7 @@ from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms
 from aft.fixpoints import kripke_kleene
 from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
-from conftest import fs, hull_oracle
+from conftest import FIVE_ELEMENT_LATTICES, fs, hull_oracle
 
 
 def join_a(diamond):
@@ -67,21 +67,6 @@ class TestHull:
 
     def test_empty(self, diamond):
         assert hull(diamond, fs()) == fs()
-
-
-FIVE_ELEMENT_LATTICES = {
-    "chain5": FiniteLattice.from_covers(
-        range(5), [(i, i + 1) for i in range(4)]
-    ),
-    "pentagon": FiniteLattice.from_covers(
-        ["0", "a", "b", "c", "1"],
-        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
-    ),
-    "m3": FiniteLattice.from_covers(
-        ["0", "x", "y", "z", "1"],
-        [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")],
-    ),
-}
 
 
 @given(

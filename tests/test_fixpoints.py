@@ -29,10 +29,17 @@ from aft.fixpoints import (
     supported_fixpoints,
     well_founded,
 )
-from aft.lattice import SCAN_ATOM_LIMIT, PowersetLattice, check_atoms, lfp
+from aft.lattice import (
+    SCAN_ATOM_LIMIT,
+    LatticeOperator,
+    PowersetLattice,
+    check_atoms,
+    lfp,
+)
 from aft.lp import fitting, parse_program, program_lattice, stable_models_oracle, tp
 from conftest import (
     DEFINITE,
+    FIVE_ELEMENT_LATTICES,
     NEG_LOOP,
     POS_LOOP,
     TWO_CYCLE,
@@ -353,25 +360,93 @@ class TestBoundedScans:
         assert calls[len(trace):] == [(wf.lower, wf.upper)]
 
 
+class TestSearch:
+    def test_ultimate_keeps_the_model_its_upper_revision_misses(self):
+        # ultimate iterates its upper revision at a lower l from l itself,
+        # which stops below {a, b, d} at l = {b}; the search must not use it
+        prog = parse_program("a :- b, d.\nd :- d, not c.\nc :- not d.\nd :- not d.\nb.\n")
+        lat = program_lattice(prog)
+        a = ultimate(lat, tp(prog, lat))
+        assert stable_models(a) == {fs("a", "b", "d")}
+        assert stable_models(a) == stable_oracle(a)
+
+    @pytest.mark.parametrize("semantics", ["supported", "stable"])
+    def test_even_cycle_branches_once(self, semantics, monkeypatch):
+        # a0 :- not a1. ... a15 :- not a0.: kk and wf leave all 16 atoms
+        # unknown; deciding a0 propagates around the cycle, so each branch
+        # is one chain of evaluations ending at a model
+        n = SCAN_ATOM_LIMIT
+        prog = parse_program("\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n)))
+        a = fitting(prog)
+        calls = []
+        if semantics == "stable":
+            stable_raw = fixpoints._stable_raw
+            monkeypatch.setattr(
+                fixpoints,
+                "_stable_raw",
+                lambda a, lo, hi: calls.append((lo, hi)) or stable_raw(a, lo, hi),
+            )
+            found = stable_models(a)
+        else:
+            apply = Approximator.apply
+            monkeypatch.setattr(
+                Approximator,
+                "apply",
+                lambda self, lo, hi: calls.append((lo, hi)) or apply(self, lo, hi),
+            )
+            found = supported_fixpoints(a)
+        evens = frozenset(f"a{i}" for i in range(0, n, 2))
+        assert found == {evens, a.lattice.universe - evens}
+        assert len(calls) <= 34
+
+    @pytest.mark.parametrize("name", ["chain5", "pentagon"])
+    def test_explicit_lattices_fall_back_to_exact_pairs(self, name):
+        lat = FIVE_ELEMENT_LATTICES[name]
+        elements = sorted(lat.elements, key=str)
+        rng = random.Random(11)
+        for _ in range(200):
+            table = {x: rng.choice(elements) for x in elements}
+            a = ultimate(lat, LatticeOperator(lat, table))
+            assert supported_fixpoints(a) == supported_oracle(a)
+            assert stable_models(a) == stable_oracle(a)
+
+
 class TestAtomLimits:
+    # the scans count the atoms their kk or wf bounds leave unknown, which
+    # the self-attacks leave all 17 of; kk and wf decide every atom of the
+    # chain, which ultimate still refuses by its universe
+    SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(SCAN_ATOM_LIMIT + 1))
+    CHAIN = "\n".join(f"a{i} :- not a{i + 1}." for i in range(SCAN_ATOM_LIMIT))
+
     @pytest.mark.parametrize(
-        "construction,what",
+        "construction,what,source",
         [
-            (supported_fixpoints, "supported scan"),
-            (stable_models, "stable scan"),
-            (partial_stable_fixpoints, "partial-stable scan"),
-            (lambda a: ultimate(a.lattice, a.operator), "ultimate"),
+            (supported_fixpoints, "supported scan", SELF_ATTACKS),
+            (stable_models, "stable scan", SELF_ATTACKS),
+            (partial_stable_fixpoints, "partial-stable scan", SELF_ATTACKS),
+            (lambda a: ultimate(a.lattice, a.operator), "ultimate", CHAIN),
         ],
         ids=["supported", "stable", "partial-stable", "ultimate"],
     )
-    def test_refused_above_the_limit(self, construction, what):
-        atoms = SCAN_ATOM_LIMIT + 1
-        prog = parse_program("\n".join(f"a{i} :- not a{i + 1}." for i in range(atoms - 1)))
-        a = fitting(prog)
+    def test_refused_above_the_limit(self, construction, what, source):
+        a = fitting(parse_program(source))
         start = time.process_time()
         with pytest.raises(TooManyAtoms, match=f"17 atoms exceed the {what} limit of 16"):
             construction(a)
         assert time.process_time() - start < 0.1
+
+    def test_scans_admit_a_large_universe_the_bounds_decide(self):
+        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (21 atoms)
+        layers = 10
+        prog = parse_program(
+            "a0.\n"
+            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
+        )
+        a = fitting(prog)
+        model = frozenset(f"a{i}" for i in range(layers + 1))
+        assert len(a.lattice.universe) == 21
+        assert supported_fixpoints(a) == stable_models(a) == {model}
+        assert raw_pairs(partial_stable_fixpoints(a)) == {(model, model)}
 
     def test_limit_admits_its_own_size(self):
         lat = PowersetLattice(f"a{i}" for i in range(SCAN_ATOM_LIMIT))

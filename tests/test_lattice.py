@@ -175,6 +175,21 @@ class TestBounds:
         assert lat.up_covers(fs()) == fs(fs("p"), fs("q"))
         assert lat.down_covers(fs("p")) == fs(fs())
 
+    def test_split_covers_the_interval(self, diamond):
+        assert sorted(diamond.split("bot", "top")) == [(x, x) for x in sorted(diamond.elements)]
+        lat = PowersetLattice({"p", "q", "r"})
+        assert lat.split(fs("q"), fs("p", "q", "r")) == [
+            (fs("p", "q"), fs("p", "q", "r")),
+            (fs("q"), fs("q", "r")),
+        ]
+
+    def test_atoms_between(self, diamond):
+        assert diamond.atoms_between("bot", "top") == 2
+        assert diamond.atoms_between("a", "top") == 1
+        lat = PowersetLattice({"p", "q", "r"})
+        assert lat.atoms_between(fs("q"), fs("p", "q", "r")) == 2
+        assert lat.atoms_between(lat.bottom, lat.top) == 3
+
 
 class TestIsMonotone:
     def test_add_atom_is_monotone(self):
