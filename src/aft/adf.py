@@ -20,6 +20,10 @@ which the strong Kleene ``kk`` is an approximation that can be less precise
 where the grounded interpretation makes it true); complete the consistent
 fixpoints of the operator, two-valued models the supported fixpoints,
 stable the stable models, and well-founded the well-founded fixpoint.
+The classical operator declares each statement's parents, the statements in
+its condition, so the ultimate approximator decides a statement on the
+assignments to those alone, and grounded runs on frameworks of hundreds of
+statements whose conditions mention at most SCAN_ATOM_LIMIT statements each.
 
 Attack networks in the style of abstract argumentation are expressible
 directly (no separate frontend): give each argument the conjunction of the
@@ -123,20 +127,16 @@ def _support(f: Formula, lower: frozenset, upper: frozenset) -> tuple[bool, bool
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval3_raw(f: Formula, lower: frozenset, upper: frozenset) -> Truth:
-    t, fa = _support(f, lower, upper)
+def eval3(formula: Formula, p: ApproxPair) -> Truth:
+    """Strong Kleene evaluation against a pair: a variable is true when in
+    the lower bound, false when outside the upper bound, unknown otherwise.
+    On exact pairs this collapses to classical two-valued evaluation."""
+    t, fa = _support(formula, p.lower, p.upper)
     if t:
         return Truth.TRUE
     if fa:
         return Truth.FALSE
     return Truth.UNKNOWN
-
-
-def eval3(formula: Formula, p: ApproxPair) -> Truth:
-    """Strong Kleene evaluation against a pair: a variable is true when in
-    the lower bound, false when outside the upper bound, unknown otherwise.
-    On exact pairs this collapses to classical two-valued evaluation."""
-    return _eval3_raw(formula, p.lower, p.upper)
 
 
 def _formula_vars(f: Formula) -> set[str]:
@@ -237,14 +237,16 @@ def adf_lattice(adf: Adf) -> PowersetLattice:
 
 
 def classical_operator(adf: Adf, lattice: PowersetLattice | None = None) -> LatticeOperator:
-    """Two-valued revision: the statements whose condition holds classically."""
+    """Two-valued revision: the statements whose condition holds classically,
+    evaluated statement by statement on the variables of its condition."""
     lat = lattice if lattice is not None else adf_lattice(adf)
-    conds = sorted(adf.conditions.items())
 
-    def step(x):
-        return frozenset(s for s, cond in conds if _eval3_raw(cond, x, x) is Truth.TRUE)
+    def dependencies():
+        conditions = adf.conditions
+        parents = {s: frozenset(_formula_vars(cond)) for s, cond in conditions.items()}
+        return parents, lambda s, z: _support(conditions[s], z, z)[0]
 
-    return LatticeOperator(lat, step, name="adf")
+    return LatticeOperator(lat, name="adf", dependencies=dependencies)
 
 
 def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approximator:

@@ -24,6 +24,7 @@ from .errors import (
     InconsistentPair,
     LatticeMismatch,
     NotPrecisionMonotone,
+    TooManyAtoms,
 )
 from .lattice import SCAN_ATOM_LIMIT, Element, Lattice, LatticeOperator, LawCheck, check_atoms
 
@@ -251,14 +252,29 @@ def ultimate(lattice: Lattice, op: LatticeOperator, name: str | None = None) -> 
 
     On a consistent pair it meets and joins the operator's image over the
     denoted interval. Inconsistent pairs denote no interval and are rejected.
-    Lattices of more than 2**SCAN_ATOM_LIMIT elements are refused with
-    TooManyAtoms, since one step from (bottom, top) visits every element.
-    """
-    check_atoms(lattice, SCAN_ATOM_LIMIT, "ultimate")
 
-    def step(lower: Element, upper: Element) -> RawPair:
-        images = [op(z) for z in lattice.interval(lower, upper)]
-        return (lattice.glb(images), lattice.lub(images))
+    An operator that carries its dependencies is met and joined atom by atom
+    (``Dependencies.bounds``): p's membership depends only on p's parents, so
+    a step costs at most 2**k condition evaluations for an atom with k
+    parents left open. It is refused with TooManyAtoms, the atom as witness,
+    when some atom has more than SCAN_ATOM_LIMIT parents. Any other operator
+    is evaluated on every element of the interval, and lattices of more than
+    2**SCAN_ATOM_LIMIT elements are refused, since one step from
+    (bottom, top) visits every element.
+    """
+    deps = op.dependencies
+    if deps is not None:
+        parents = deps.parents
+        if max(map(len, parents.values()), default=0) > SCAN_ATOM_LIMIT:
+            widest = max(sorted(parents), key=lambda p: len(parents[p]))
+            raise TooManyAtoms(len(parents[widest]), SCAN_ATOM_LIMIT, "ultimate", widest)
+        step = deps.bounds
+    else:
+        check_atoms(lattice, SCAN_ATOM_LIMIT, "ultimate")
+
+        def step(lower: Element, upper: Element) -> RawPair:
+            images = [op(z) for z in lattice.interval(lower, upper)]
+            return (lattice.glb(images), lattice.lub(images))
 
     return Approximator(
         lattice,

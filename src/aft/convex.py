@@ -28,10 +28,10 @@ from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck, check_at
 
 ConvexSet = frozenset
 
-# convex_kripke_kleene starts from the set of all elements, and each hull
-# walks the covers of every element it reaches, |U| of them per element in a
-# powerset, so a step costs about 2**|U| * |U|; it refuses powersets of more
-# atoms than this
+# convex_kripke_kleene starts from the set of all elements, and on a powerset
+# each hull closes the members' bitmasks one atom at a time, a pass over up
+# to 2**|U| masks per atom, so a step costs about 2**|U| * |U| mask
+# operations; it refuses powersets of more atoms than this
 CONVEX_ATOM_LIMIT = 12
 
 
@@ -48,35 +48,11 @@ def is_convex(lattice: Lattice, members: Iterable) -> LawCheck:
     return LawCheck(True)
 
 
-def _cover_closure(start: frozenset, covers: Callable, keep: Callable) -> set:
-    """Everything reachable from ``start`` through ``covers`` while ``keep``
-    holds of each element reached."""
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        for y in covers(stack.pop()):
-            if y not in seen and keep(y):
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def hull(lattice: Lattice, members: Iterable) -> ConvexSet:
     """Smallest convex superset: everything bounded by members on both sides.
-
-    In a finite lattice every a <= y is joined by a chain of covers, so the
-    elements above some member are the members' closure under up-covers, and
-    dually below; their intersection is the hull. Only elements below the
-    members' join can lie below a member, and only those above their meet
-    above one, which prunes each closure.
-    """
-    s = frozenset(lattice.check_element(x) for x in members)
-    if not s:
-        return frozenset()
-    join, meet = lattice.lub(s), lattice.glb(s)
-    up = _cover_closure(s, lattice.up_covers, lambda y: lattice.leq(y, join))
-    down = _cover_closure(s, lattice.down_covers, lambda y: lattice.leq(meet, y))
-    return frozenset(up & down)
+    Each kind of lattice computes it (``Lattice.hull``): an explicit lattice
+    by walking covers, a powerset over bitmasks."""
+    return lattice.hull(members)
 
 
 def embed_interval(p: ApproxPair) -> ConvexSet:

@@ -58,11 +58,15 @@ class NonMonotoneProjection(AftError):
 
 
 class DivergenceGuard(AftError):
-    """A fixpoint iteration exceeded its theoretical step bound."""
+    """A fixpoint iteration exceeded its theoretical step bound, or revisited
+    a pair before reaching it; ``cycle`` then holds the pairs from the
+    revisited one on, each mapped to the next and the last back to the
+    first."""
 
-    def __init__(self, what: str, bound: int):
+    def __init__(self, what: str, bound: int, cycle: tuple | None = None):
         self.what = what
         self.bound = bound
+        self.cycle = cycle
         super().__init__(f"{what} did not stabilize within {bound} steps")
 
 
@@ -135,10 +139,12 @@ class ForeignAtom(AftError):
 
 class TooManyAtoms(AftError):
     """An exponential construction refuses a universe it cannot enumerate;
-    ``what`` names the construction."""
+    ``what`` names the construction, and ``witness``, when set, the atom
+    whose parents it would have to enumerate."""
 
-    def __init__(self, count: int, limit: int, what: str):
+    def __init__(self, count: int, limit: int, what: str, witness=None):
         self.count = count
         self.limit = limit
         self.what = what
+        self.witness = witness
         super().__init__(f"{count} atoms exceed the {what} limit of {limit}")

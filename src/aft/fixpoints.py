@@ -36,17 +36,26 @@ from .errors import DivergenceGuard, NonMonotoneProjection, StableRevisionUndefi
 from .lattice import SCAN_ATOM_LIMIT, Element, LatticeOperator, check_atoms, is_monotone
 
 
-def _iterate_to_fixpoint(a: Approximator, start, what: str):
-    # a strictly precision-increasing chain of pairs climbs at most the
-    # height of the lattice in each bound, which sizes the guard
-    lat = a.lattice
+def _iterate_to_fixpoint(lat, start, step, what: str):
+    """Iterate ``step`` on raw pairs from ``start`` until it leaves a pair
+    fixed, returning that pair and the trace.
+
+    A strictly precision-increasing chain of pairs climbs at most the height
+    of the lattice in each bound, which sizes the guard. Such a chain never
+    revisits a pair, so a revisit raises the guard at once, with the cycle
+    it closes.
+    """
     cur = start
     trace = [ApproxPair(lat, *cur)]
+    seen = {cur: 0}
     bound = 2 * lat.height + 1
     for _ in range(bound):
-        nxt = a.apply(*cur)
+        nxt = step(*cur)
         if nxt == cur:
             return trace[-1], trace
+        if nxt in seen:
+            raise DivergenceGuard(what, bound, tuple(p.raw() for p in trace[seen[nxt]:]))
+        seen[nxt] = len(trace)
         cur = nxt
         trace.append(ApproxPair(lat, *cur))
     raise DivergenceGuard(what, bound)
@@ -59,7 +68,9 @@ def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     is precision-increasing and stabilizes within twice the lattice height.
     """
     lat = a.lattice
-    return _iterate_to_fixpoint(a, (lat.bottom, lat.top), f"Kripke-Kleene iteration of {a.name}")
+    return _iterate_to_fixpoint(
+        lat, (lat.bottom, lat.top), a.apply, f"Kripke-Kleene iteration of {a.name}"
+    )
 
 
 def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
@@ -260,15 +271,15 @@ def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     """The precision-least fixpoint of the stable operator, with its trace,
     by iterating the stable operator from (bottom, top)."""
     lat = a.lattice
-    cur = (lat.bottom, lat.top)
-    trace = [ApproxPair(lat, *cur)]
-    bound = 2 * lat.height + 1
-    for _ in range(bound):
-        nxt = _stable_raw(a, *cur)
-        if nxt is None:
-            raise StableRevisionUndefined(cur, "well-founded iteration left the consistent region")
-        if nxt == cur:
-            return trace[-1], trace
-        cur = nxt
-        trace.append(ApproxPair(lat, *cur))
-    raise DivergenceGuard(f"well-founded iteration of {a.name}", bound)
+
+    def step(lower, upper):
+        out = _stable_raw(a, lower, upper)
+        if out is None:
+            raise StableRevisionUndefined(
+                (lower, upper), "well-founded iteration left the consistent region"
+            )
+        return out
+
+    return _iterate_to_fixpoint(
+        lat, (lat.bottom, lat.top), step, f"well-founded iteration of {a.name}"
+    )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
+from .bitmask import Codec, Dependencies
 from .errors import (
     DivergenceGuard,
     ForeignElement,
@@ -28,14 +29,17 @@ Element = Hashable
 # size they are skipped unless explicitly requested.
 VALIDATION_LIMIT = 4096
 
-# The ultimate approximator's first step evaluates the operator on every
-# element (2 s at 16 atoms), and the partial stable scan visits each element
-# between the well-founded bounds (0.6 s at 16 unknown atoms). The supported
-# and stable searches branch on the atoms the Kripke-Kleene or well-founded
-# pair leaves unknown; propagation usually prunes most branches, but where it
-# narrows nothing they evaluate a whole binary tree (3.5 s for 2**16
-# supported models). So ultimate refuses more than this many atoms, and the
-# scan and searches more than this many unknown atoms.
+# The partial stable scan visits each element between the well-founded bounds
+# (0.6 s at 16 unknown atoms). The supported and stable searches branch on
+# the atoms the Kripke-Kleene or well-founded pair leaves unknown;
+# propagation usually prunes most branches, but where it narrows nothing they
+# evaluate a whole binary tree (3.5 s for 2**16 supported models). The
+# ultimate approximator of an operator that carries its dependencies decides
+# each atom on the assignments to its parents a pair leaves open, up to
+# 2**k condition evaluations for k parents; of any other operator it
+# evaluates every element of an interval (2 s at 16 atoms). So the scan and
+# searches refuse more than this many unknown atoms, ultimate an atom with
+# more parents than this, or else a universe of more atoms.
 SCAN_ATOM_LIMIT = 16
 
 
@@ -68,7 +72,8 @@ class Lattice:
     ``leq``, ``lub``, ``glb``, ``interval``, ``up_covers`` and
     ``down_covers``. Everything else is derived here from those, once;
     ``atoms_between`` and ``split`` are derived by enumerating an interval,
-    which a kind may replace with something cheaper.
+    and ``hull`` by walking covers, which a kind may replace with something
+    cheaper.
     """
 
     def check_element(self, x: Element) -> Element:
@@ -89,6 +94,24 @@ class Lattice:
         intervals together cover the interval between x and y; here its
         exact pairs."""
         return [(z, z) for z in self.interval(x, y)]
+
+    def hull(self, members: Iterable[Element]) -> frozenset:
+        """Smallest convex superset: everything bounded by members on both
+        sides.
+
+        In a finite lattice every a <= y is joined by a chain of covers, so
+        the elements above some member are the members' closure under
+        up-covers, and dually below; their intersection is the hull. Only
+        elements below the members' join can lie below a member, and only
+        those above their meet above one, which prunes each closure.
+        """
+        s = frozenset(self.check_element(x) for x in members)
+        if not s:
+            return frozenset()
+        join, meet = self.lub(s), self.glb(s)
+        up = _cover_closure(s, self.up_covers, lambda y: self.leq(y, join))
+        down = _cover_closure(s, self.down_covers, lambda y: self.leq(meet, y))
+        return frozenset(up & down)
 
     def consistent_pairs(self) -> Iterator[tuple[Element, Element]]:
         """All pairs (x, y) with x <= y."""
@@ -120,6 +143,19 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} with {self.size} elements>"
+
+
+def _cover_closure(start, covers: Callable, keep: Callable) -> set:
+    """Everything reachable from ``start`` through ``covers`` while ``keep``
+    holds of each element reached."""
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for y in covers(stack.pop()):
+            if y not in seen and keep(y):
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 class FiniteLattice(Lattice):
@@ -284,7 +320,8 @@ class PowersetLattice(Lattice):
 
     Meets, joins and order tests are plain set operations, so nothing is
     materialized until something genuinely enumerates the elements (scans,
-    exhaustive law checks).
+    exhaustive law checks). The hull and the per-atom evaluation of
+    operators work on int bitmasks of the elements inside ``aft.bitmask``.
     """
 
     def __init__(self, universe: Iterable):
@@ -356,6 +393,15 @@ class PowersetLattice(Lattice):
         p = min(y - x)
         return [(x | {p}, y), (x, y - {p})]
 
+    def hull(self, members) -> frozenset:
+        """Smallest convex superset, closed over the members' bitmasks
+        (``Codec.hull``)."""
+        return self._codec.hull(self.check_element(x) for x in members)
+
+    @cached_property
+    def _codec(self) -> Codec:
+        return Codec(self.universe)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, PowersetLattice):
             return self.universe == other.universe
@@ -370,17 +416,48 @@ class LatticeOperator:
 
     The mapping may be a callable or an extensional table. Applications are
     memoized; exhaustive law checks revisit elements many times.
+
+    An operator on a powerset may instead carry its ``dependencies``: a
+    function returning the ``parents`` map and the ``condition`` of
+    ``aft.bitmask.Dependencies``, called the first time anything asks for
+    them, so that building the operator costs nothing. Without a mapping it
+    is then evaluated atom by atom through them.
     """
 
-    def __init__(self, lattice: Lattice, mapping: Callable[[Element], Element] | Mapping, name: str = "O"):
+    def __init__(
+        self,
+        lattice: Lattice,
+        mapping: Callable[[Element], Element] | Mapping | None = None,
+        name: str = "O",
+        *,
+        dependencies: Callable[[], tuple[Mapping, Callable]] | None = None,
+    ):
         self.lattice = lattice
         self.name = name
+        self._dependencies = dependencies
         if isinstance(mapping, Mapping):
             table = dict(mapping)
             self._fn = table.__getitem__
-        else:
+        elif mapping is not None:
             self._fn = mapping
+        elif dependencies is None:
+            raise ValueError("an operator needs a mapping or its dependencies")
         self._memo: dict[Element, Element] = {}
+
+    @cached_property
+    def dependencies(self) -> Dependencies | None:
+        """The operator's ``aft.bitmask.Dependencies``, or None when it
+        carries none."""
+        if self._dependencies is None:
+            return None
+        return Dependencies(self.lattice._codec, *self._dependencies())
+
+    @cached_property
+    def _fn(self) -> Callable[[Element], Element]:
+        # without a mapping, evaluated through the dependencies; a bound
+        # method of those, unlike a closure over self, frees the operator
+        # and its memo as soon as the last reference goes
+        return self.dependencies.image
 
     def __call__(self, x: Element) -> Element:
         memo = self._memo

@@ -162,14 +162,31 @@ def program_lattice(program: LogicProgram) -> PowersetLattice:
 
 def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> LatticeOperator:
     """The one-step consequence operator: heads of rules whose positive body
-    is contained in the argument and whose negative body avoids it."""
+    is contained in the argument and whose negative body avoids it.
+
+    It is evaluated atom by atom: an atom's parents are the body atoms of its
+    rules, and its condition is that one of those rules fires.
+    """
     lat = lattice if lattice is not None else program_lattice(program)
-    rules = [(r.head, r.pos, r.neg) for r in program.rules]
 
-    def step(x):
-        return frozenset(h for h, pos, neg in rules if pos <= x and neg.isdisjoint(x))
+    def dependencies():
+        bodies: dict[str, list] = {}
+        for r in program.rules:
+            bodies.setdefault(r.head, []).append((r.pos, r.neg))
+        parents = {
+            a: frozenset().union(*itertools.chain.from_iterable(bodies.get(a, ())))
+            for a in lat.universe
+        }
 
-    return LatticeOperator(lat, step, name="tp")
+        def condition(p, z):
+            for pos, neg in bodies.get(p, ()):
+                if pos <= z and neg.isdisjoint(z):
+                    return True
+            return False
+
+        return parents, condition
+
+    return LatticeOperator(lat, name="tp", dependencies=dependencies)
 
 
 def _reduct_least_model(rules):

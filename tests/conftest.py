@@ -1,6 +1,6 @@
 import pytest
 
-from aft.approx import ApproxPair
+from aft.approx import Approximator, ApproxPair
 from aft.fixpoints import _stable_raw
 from aft.lattice import FiniteLattice
 from aft.lp import parse_program
@@ -75,6 +75,17 @@ def partial_stable_oracle(a):
         for lo, hi in lat.consistent_pairs()
         if _stable_raw(a, lo, hi) == (lo, hi)
     )
+
+
+def ultimate_oracle(lattice, op):
+    """Reference for ``ultimate``: on a consistent pair, the meet and the join
+    of the operator's images of every element of the interval."""
+
+    def step(lower, upper):
+        images = [op(z) for z in lattice.interval(lower, upper)]
+        return (lattice.glb(images), lattice.lub(images))
+
+    return Approximator(lattice, step, operator=op, name="ultimate oracle", consistent_only=True)
 
 
 def supported_oracle(a):

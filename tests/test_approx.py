@@ -1,9 +1,12 @@
 import itertools
+import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from aft.adf import Truth, adf_approximator, classical_operator, eval3, parse_adf, program_to_adf
 
 from aft.approx import (
     LAW_ATOM_LIMIT,
@@ -28,9 +31,11 @@ from aft.errors import (
     TooManyAtoms,
 )
 from aft.fixpoints import fixpoints_of
+from aft.corpus import random_adf, random_program
+from aft.fixpoints import kripke_kleene, well_founded
 from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
 from aft.lp import fitting, parse_program, program_lattice, tp
-from conftest import fs
+from conftest import fs, ultimate_oracle
 
 PQ = PowersetLattice({"p", "q"})
 
@@ -224,6 +229,80 @@ class TestUltimate:
                     ApproxPair(lat, *fit.apply(lo, hi)),
                     ApproxPair(lat, *ult.apply(lo, hi)),
                 )
+
+
+def seeded_approximator(kind, seed, n):
+    """The bracketing approximator of a seeded program of n atoms, of its
+    ``program_to_adf`` image, or of a seeded framework of n statements."""
+    rng = random.Random(seed)
+    if kind == "framework":
+        return adf_approximator(random_adf(rng, n))
+    prog = random_program(rng, n)
+    return fitting(prog) if kind == "program" else adf_approximator(program_to_adf(prog))
+
+
+KINDS = st.sampled_from(["program", "image", "framework"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(KINDS, st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_atomwise_ultimate_equals_the_whole_interval_oracle(kind, seed, n):
+    a = seeded_approximator(kind, seed, n)
+    lat, op = a.lattice, a.operator
+    ult, oracle = ultimate(lat, op), ultimate_oracle(lat, op)
+    for lo, hi in lat.consistent_pairs():
+        assert ult.apply(lo, hi) == oracle.apply(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_atomwise_operators_equal_plain_evaluation(seed, n):
+    rng = random.Random(seed)
+    prog = random_program(rng, n)
+    op = tp(prog)
+    for x in op.lattice.elements:
+        assert op(x) == frozenset(r.head for r in prog.rules if r.pos <= x and r.neg.isdisjoint(x))
+    framework = random_adf(rng, max(n, 1))
+    op = classical_operator(framework)
+    for x in op.lattice.elements:
+        exact = ApproxPair(op.lattice, x, x)
+        assert op(x) == frozenset(
+            s for s, cond in framework.conditions.items() if eval3(cond, exact) is Truth.TRUE
+        )
+
+
+class TestAtomwiseOperators:
+    def test_dependencies_are_built_on_first_use(self, two_cycle):
+        a = fitting(two_cycle)
+        kripke_kleene(a)
+        well_founded(a)
+        assert "dependencies" not in vars(a.operator)
+        assert a.operator.dependencies.parents == {"p": fs("q"), "q": fs("p")}
+
+    def test_framework_parents_are_the_condition_variables(self):
+        framework = parse_adf("s(a). s(b). s(c). ac(a, and(b, neg(c))). ac(b, true). ac(c, c).")
+        assert classical_operator(framework).dependencies.parents == {
+            "a": fs("b", "c"), "b": fs(), "c": fs("c")
+        }
+
+    def test_each_assignment_is_evaluated_once(self):
+        calls = []
+        parents = {"p": fs("q"), "q": fs()}
+        lat = PowersetLattice({"p", "q"})
+        # q always holds, p exactly when q does
+        op = LatticeOperator(
+            lat, dependencies=lambda: (parents, lambda p, z: calls.append((p, z)) or p == "q" or "q" in z)
+        )
+        for x in list(lat.elements) * 3:
+            op._memo.clear()
+            assert op(x) == (fs("p", "q") if "q" in x else fs("q"))
+        assert sorted(calls, key=repr) == sorted(
+            [("p", fs()), ("p", fs("q")), ("q", fs())], key=repr
+        )
+
+    def test_needs_a_mapping_or_dependencies(self):
+        with pytest.raises(ValueError, match="mapping or its dependencies"):
+            LatticeOperator(PQ)
 
 
 class TestDuality:

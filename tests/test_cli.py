@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,9 @@ import time
 import pytest
 
 import aft
+from aft.adf import Adf
 from aft.cli import build_parser, main
+from aft.corpus import random_formula
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lp import fitting, parse_program
 from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE
@@ -16,6 +19,7 @@ from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE
 SELF_ATTACK = "s(a). ac(a, neg(a)).\n"
 SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(17))
 CHAIN = "\n".join(f"a{i} :- not a{i + 1}." for i in range(16))
+WIDE = "a :- " + ", ".join(f"not b{i}" for i in range(17)) + "."
 
 
 def write(tmp_path, name, text):
@@ -75,12 +79,24 @@ class TestRun:
     )
     def test_scans_beyond_their_atom_limit_exit_1(self, tmp_path, capsys, semantics, what):
         # the scans count the atoms kk or wf leave unknown: all 17
-        # self-attacks, but none of the chain, which ultimate refuses
-        source = CHAIN if what == "ultimate" else SELF_ATTACKS
+        # self-attacks; ultimate counts each atom's parents: 17 for the head
+        # of the wide rule
+        source = WIDE if what == "ultimate" else SELF_ATTACKS
         path = write(tmp_path, "many.lp", source)
         code, out, err = run(capsys, "lp", path, "--semantics", semantics)
         assert code == 1 and out == ""
         assert err == f"error: 17 atoms exceed the {what} limit of 16\n"
+
+    @pytest.mark.parametrize("semantics", ["kk", "wf"])
+    def test_ultimate_answers_a_universe_beyond_the_scan_limit(self, tmp_path, capsys, semantics):
+        path = write(tmp_path, "chain.lp", CHAIN)
+        code, out, err = run(
+            capsys, "lp", path, "--semantics", f"{semantics},ultimate-{semantics}", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert len(doc["atoms"]) == 17
+        assert doc[f"ultimate-{semantics}"] == doc[semantics]
 
     def test_stable_on_a_large_universe_the_well_founded_model_decides(self, tmp_path, capsys):
         # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (21 atoms)
@@ -289,6 +305,51 @@ PINNED_INPUTS = {
     "separator": ("lp", SEPARATOR),
     "self-attack": ("adf", SELF_ATTACK),
 }
+
+
+def negation_chain(layers):
+    """a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (2 * layers + 1 atoms)"""
+    return "a0.\n" + "".join(
+        f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers)
+    )
+
+
+class TestUltimateAtScale:
+    # ultimate decides each atom on its own parents, so a universe far
+    # beyond the scan limit is answered when every atom has few parents
+    def test_ultimate_kk_on_the_331_atom_chain(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.lp", negation_chain(165))
+        start = time.process_time()
+        code, out, err = run(capsys, "lp", path, "--semantics", "kk,ultimate-kk", "--format", "json")
+        assert time.process_time() - start < 3.0
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert len(doc["atoms"]) == 331
+        assert doc["ultimate-kk"] == doc["kk"]
+
+    def test_ultimate_wf_on_the_101_atom_chain_equals_wf(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.lp", negation_chain(50))
+        code, out, err = run(capsys, "lp", path, "--semantics", "wf,ultimate-wf", "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert len(doc["atoms"]) == 101
+        assert doc["ultimate-wf"] == doc["wf"]
+
+    def test_ultimate_on_a_300_statement_framework(self, tmp_path, capsys):
+        rng = random.Random(300)
+        names = [f"s{i}" for i in range(300)]
+        framework = Adf(names, {s: random_formula(rng, names, 3) for s in names})
+        path = write(tmp_path, "random.adf", framework.to_text())
+        code, out, err = run(
+            capsys, "adf", path, "--semantics", "kk,wf,ultimate-kk,ultimate-wf", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        # the ultimate fixpoints refine the strong Kleene ones
+        for name in ("kk", "wf"):
+            ult = doc[f"ultimate-{name}"]
+            assert set(doc[name]["lower"]) <= set(ult["lower"])
+            assert set(ult["upper"]) <= set(doc[name]["upper"])
 
 
 def untraced_doc(doc):

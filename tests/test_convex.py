@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aft.approx import ApproxPair, precision_leq, ultimate
@@ -128,6 +128,29 @@ def lattices_with_members(draw):
 def test_hull_equals_the_member_comparison_oracle(case):
     lat, members = case
     assert hull(lat, members) == hull_oracle(lat, members)
+
+
+@st.composite
+def powersets_with_members(draw):
+    n = draw(st.integers(0, 8))
+    masks = draw(st.sets(st.integers(0, 2**n - 1), max_size=12))
+    members = frozenset(frozenset(i for i in range(n) if m >> i & 1) for m in masks)
+    return PowersetLattice(range(n)), members
+
+
+@given(powersets_with_members())
+@example((PowersetLattice(range(8)), frozenset()))
+@example((PowersetLattice(range(8)), frozenset({fs(1, 4)})))
+@example((PowersetLattice(range(8)), frozenset({fs(), fs(*range(8))})))
+def test_powerset_hull_over_bitmasks_equals_the_oracle(case):
+    lat, members = case
+    assert hull(lat, members) == hull_oracle(lat, members)
+
+
+@pytest.mark.parametrize("foreign", [fs(3), fs(0, "x"), {0}, "0"], ids=repr)
+def test_powerset_hull_rejects_a_foreign_member(foreign):
+    with pytest.raises(ForeignElement):
+        hull(PowersetLattice(range(3)), [fs(0), foreign])
 
 
 class TestEmbedInterval:

@@ -214,6 +214,47 @@ class TestStableOperator:
         assert exc.value.bound == 33
 
 
+class TestCycleWitness:
+    @settings(max_examples=24, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([kripke_kleene, well_founded]))
+    def test_swap_approximators_report_their_two_cycle(self, n, construction):
+        # the guard fires after the four distinct pairs the two steps of the
+        # cycle evaluate, however large the height bound
+        lat = PowersetLattice(f"a{i}" for i in range(n))
+        calls = []
+        a = Approximator(lat, lambda lo, hi: calls.append((lo, hi)) or (hi, lo), name="swap")
+        with pytest.raises(DivergenceGuard) as exc:
+            construction(a)
+        assert len(calls) <= 4
+        assert exc.value.cycle == ((lat.bottom, lat.top), (lat.top, lat.bottom))
+        assert str(exc.value).endswith(f"of swap did not stabilize within {2 * n + 1} steps")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(FIVE_ELEMENT_LATTICES)), st.randoms(use_true_random=False))
+    def test_permutation_tables_report_the_repeated_pairs(self, name, rnd):
+        lat = FIVE_ELEMENT_LATTICES[name]
+        pairs = sorted(itertools.product(lat.elements, repeat=2), key=repr)
+        images = list(pairs)
+        rnd.shuffle(images)
+        table = dict(zip(pairs, images))
+        calls = []
+        a = Approximator(lat, lambda lo, hi: calls.append((lo, hi)) or table[(lo, hi)], name="permutation")
+        # kk walks the orbit of (bottom, top), which closes where it began
+        orbit = [(lat.bottom, lat.top)]
+        while table[orbit[-1]] != orbit[0]:
+            orbit.append(table[orbit[-1]])
+        if len(orbit) == 1:
+            assert kripke_kleene(a)[0].raw() == orbit[0]
+            return
+        bound = 2 * lat.height + 1
+        with pytest.raises(DivergenceGuard) as exc:
+            kripke_kleene(a)
+        assert len(calls) == min(len(orbit), bound)
+        assert exc.value.bound == bound
+        # an orbit longer than the bound is cut off before it repeats
+        assert exc.value.cycle == (tuple(orbit) if len(orbit) <= bound else None)
+
+
 class TestUltimateSemantics:
     def test_separator_gains_precision(self, separator):
         lat = program_lattice(separator)
@@ -413,9 +454,10 @@ class TestSearch:
 
 class TestAtomLimits:
     # the scans count the atoms their kk or wf bounds leave unknown, which
-    # the self-attacks leave all 17 of; kk and wf decide every atom of the
-    # chain, which ultimate still refuses by its universe
+    # the self-attacks leave all 17 of; ultimate counts the parents of each
+    # atom, and the head of the wide rule has 17
     SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(SCAN_ATOM_LIMIT + 1))
+    WIDE = "a :- " + ", ".join(f"not b{i}" for i in range(SCAN_ATOM_LIMIT + 1)) + "."
     CHAIN = "\n".join(f"a{i} :- not a{i + 1}." for i in range(SCAN_ATOM_LIMIT))
 
     @pytest.mark.parametrize(
@@ -424,16 +466,24 @@ class TestAtomLimits:
             (supported_fixpoints, "supported scan", SELF_ATTACKS),
             (stable_models, "stable scan", SELF_ATTACKS),
             (partial_stable_fixpoints, "partial-stable scan", SELF_ATTACKS),
-            (lambda a: ultimate(a.lattice, a.operator), "ultimate", CHAIN),
+            (lambda a: ultimate(a.lattice, a.operator), "ultimate", WIDE),
         ],
         ids=["supported", "stable", "partial-stable", "ultimate"],
     )
     def test_refused_above_the_limit(self, construction, what, source):
         a = fitting(parse_program(source))
         start = time.process_time()
-        with pytest.raises(TooManyAtoms, match=f"17 atoms exceed the {what} limit of 16"):
+        with pytest.raises(TooManyAtoms, match=f"17 atoms exceed the {what} limit of 16") as exc:
             construction(a)
         assert time.process_time() - start < 0.1
+        assert exc.value.witness == ("a" if what == "ultimate" else None)
+
+    def test_ultimate_answers_a_universe_beyond_the_limit(self):
+        # 17 atoms, none with more than one parent
+        a = fitting(parse_program(self.CHAIN))
+        ult = ultimate(a.lattice, a.operator)
+        assert kripke_kleene(ult)[0] == kripke_kleene(a)[0]
+        assert well_founded(ult)[0] == well_founded(a)[0]
 
     def test_scans_admit_a_large_universe_the_bounds_decide(self):
         # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (21 atoms)
