@@ -37,9 +37,9 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .approx import Approximator, ApproxPair
-from .errors import MissingCondition, ParseError, UndeclaredStatement
+from .errors import MissingCondition, UndeclaredStatement
 from .lattice import LatticeOperator, PowersetLattice
-from .lp import LogicProgram, _Parser, _tokenize
+from .lp import LogicProgram, _Parser
 
 
 class Truth(Enum):
@@ -182,7 +182,7 @@ class Adf:
 
 
 def _parse_formula(p: _Parser) -> Formula:
-    kind, value, line, col = p.take("name", "a formula")
+    _, value, _ = p.take("name", "a formula")
     if value == "true":
         return Const(True)
     if value == "false":
@@ -201,19 +201,19 @@ def _parse_formula(p: _Parser) -> Formula:
 
 
 def _statement_name(p: _Parser) -> str:
-    kind, value, line, col = p.take("name", "a statement name")
+    _, value, offset = p.take("name", "a statement name")
     if value in _KEYWORDS:
-        raise ParseError(f"{value!r} is reserved and cannot name a statement", line, col)
+        raise p.error(f"{value!r} is reserved and cannot name a statement", offset)
     return value
 
 
 def parse_adf(text: str) -> Adf:
     """Parse framework text; declarations may come in any order."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     statements: set[str] = set()
     conditions: dict[str, Formula] = {}
     while p.peek()[0] != "eof":
-        kind, value, line, col = p.take("name", "'s' or 'ac'")
+        _, value, offset = p.take("name", "'s' or 'ac'")
         if value == "s":
             p.take("lparen", "'('")
             statements.add(_statement_name(p))
@@ -223,11 +223,11 @@ def parse_adf(text: str) -> Adf:
             name = _statement_name(p)
             p.take("comma", "','")
             if name in conditions:
-                raise ParseError(f"duplicate condition for {name!r}", line, col)
+                raise p.error(f"duplicate condition for {name!r}", offset)
             conditions[name] = _parse_formula(p)
             p.take("rparen", "')'")
         else:
-            raise ParseError("expected 's' or 'ac'", line, col)
+            raise p.error("expected 's' or 'ac'", offset)
         p.take("dot", "'.'")
     return Adf(statements, conditions)
 

@@ -181,6 +181,9 @@ def _cmd_run(args) -> int:
         kind, compute = SEMANTICS[name]
         value, trace = compute(approximator, lat)
         doc[name] = _json_entry(kind, value, trace if args.trace else None, atoms)
+    # the document holds everything left to print; the approximator's memo
+    # and the last result go before it is encoded
+    del approximator, value, trace
 
     if args.fmt == "json":
         print(json.dumps(doc, indent=2))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import threading
 from dataclasses import dataclass
 
 from .approx import Approximator
@@ -83,37 +84,37 @@ class LogicProgram:
 
 
 _TOKEN = re.compile(
-    r"(?P<ws>[ \t\r]+)|(?P<comment>%[^\n]*)|(?P<nl>\n)|(?P<implies>:-)"
+    r"(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)|(?P<implies>:-)"
     r"|(?P<comma>,)|(?P<dot>\.)|(?P<lparen>\()|(?P<rparen>\))"
-    r"|(?P<name>[a-z][a-zA-Z0-9_]*)"
+    r"|(?P<name>[a-z][a-zA-Z0-9_]*)|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append((kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Tokens of a text, as (kind, value, offset), read front to back.
+
+    The whole text is tokenized first, so an unexpected character is
+    reported before any grammar error. Line and column are computed from a
+    token's offset only when an error is raised.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokens = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if kind != "skip":
+                tokens.append((kind, m.group(), m.start()))
+        tokens.append(("eof", "", len(text)))
         self.i = 0
+
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at the 1-based line and column of ``offset``."""
+        start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, start) + 1, offset - start + 1)
 
     def peek(self):
         return self.tokens[self.i]
@@ -121,20 +122,20 @@ class _Parser:
     def take(self, kind, what):
         tok = self.tokens[self.i]
         if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2], tok[3])
+            raise self.error(f"expected {what}", tok[2])
         self.i += 1
         return tok
 
     def atom(self):
-        kind, value, line, col = self.take("name", "an atom")
+        _, value, offset = self.take("name", "an atom")
         if value in _RESERVED:
-            raise ParseError(f"{value!r} is reserved and cannot name an atom", line, col)
+            raise self.error(f"{value!r} is reserved and cannot name an atom", offset)
         return value
 
 
 def parse_program(text: str) -> LogicProgram:
     """Parse program text; raises ParseError with a 1-based position."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     rules = []
     while p.peek()[0] != "eof":
         head = p.atom()
@@ -189,7 +190,20 @@ def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> Lattice
     return LatticeOperator(lat, name="tp", dependencies=dependencies)
 
 
-def _reduct_least_model(rules):
+def _watch_index(rules):
+    """Per atom, the indices of the rules with it in their positive body and
+    of those with it in their negative body."""
+    pos_watch: dict[str, list[int]] = {}
+    neg_watch: dict[str, list[int]] = {}
+    for i, (_, pos, neg) in enumerate(rules):
+        for b in pos:
+            pos_watch.setdefault(b, []).append(i)
+        for b in neg:
+            neg_watch.setdefault(b, []).append(i)
+    return pos_watch, neg_watch
+
+
+def _reduct_least_model(rules, pos_watch):
     """A function from a set of blocked atoms to the least model of the
     program's reduct by it, each call linear in the program (Dowling and
     Gallier's counter procedure).
@@ -197,12 +211,8 @@ def _reduct_least_model(rules):
     Rules whose negative body meets ``blocked`` are dropped; every other rule
     counts the atoms of its positive body not yet derived, and fires when
     the count reaches zero. Each derived atom is propagated once, through the
-    rules that watch it.
+    rules that watch it in ``pos_watch``.
     """
-    watch: dict[str, list[int]] = {}
-    for i, (_, pos, _) in enumerate(rules):
-        for b in pos:
-            watch.setdefault(b, []).append(i)
     bodies = [(len(pos), neg) for _, pos, neg in rules]
     heads = [h for h, _, _ in rules]
 
@@ -216,7 +226,7 @@ def _reduct_least_model(rules):
             if atom in model:
                 continue
             model.add(atom)
-            for i in watch.get(atom, ()):
+            for i in pos_watch.get(atom, ()):
                 waiting[i] -= 1
                 if waiting[i] == 0:
                     agenda.append(heads[i])
@@ -229,6 +239,106 @@ def _reduct_least_model(rules):
     return functools.lru_cache(maxsize=4)(least_model)
 
 
+def _changes(new, old):
+    """The atoms that entered and that left, ``new - old`` and ``old - new``,
+    with one pass over the larger set when it contains the smaller."""
+    if new is old:
+        return (), ()
+    if len(new) >= len(old):
+        entered = new - old
+        return entered, (() if len(entered) == len(new) - len(old) else old - new)
+    left = old - new
+    return (() if len(left) == len(old) - len(new) else new - old), left
+
+
+def _fitting_step(rules, pos_watch, neg_watch):
+    """Fitting's step on raw pairs, evaluated semi-naively (Bancilhon and
+    Ramakrishnan): each call updates only the rules that watch an atom which
+    entered or left either bound since the pair it last computed.
+
+    Every rule counts the body literals that block it in the lower step (a
+    positive atom outside the lower bound, a negative one inside the upper)
+    and in the upper step (a positive atom outside the upper bound, a
+    negative one inside the lower), and every head the rules that fire it,
+    those with nothing blocking. The counts start at the pair
+    (empty, empty), so any sequence of calls gives the answers of testing
+    every rule. A bound of the output whose heads did not change is the
+    previous output's object again.
+    """
+    heads = [h for h, _, _ in rules]
+    lo_blocks = [len(pos) for _, pos, _ in rules]
+    hi_blocks = lo_blocks.copy()
+    lo_fired: dict[str, int] = {}
+    for h, n in zip(heads, lo_blocks):
+        if n == 0:
+            lo_fired[h] = lo_fired.get(h, 0) + 1
+    hi_fired = dict(lo_fired)
+    # the pair the counts stand for, and the last output; the lock keeps an
+    # approximator shared between threads from interleaving two updates
+    last = [frozenset(), frozenset(), None, None]
+    lock = threading.Lock()
+
+    def block(watchers, blocks, fired):
+        """One more blocking literal for each rule in ``watchers``; True
+        when some head stops firing."""
+        stopped = False
+        for i in watchers:
+            if blocks[i] == 0:
+                h = heads[i]
+                if fired[h] == 1:
+                    del fired[h]
+                    stopped = True
+                else:
+                    fired[h] -= 1
+            blocks[i] += 1
+        return stopped
+
+    def unblock(watchers, blocks, fired):
+        """One fewer blocking literal for each rule in ``watchers``; True
+        when some head starts firing."""
+        started = False
+        for i in watchers:
+            blocks[i] -= 1
+            if blocks[i] == 0:
+                h = heads[i]
+                if h in fired:
+                    fired[h] += 1
+                else:
+                    fired[h] = 1
+                    started = True
+        return started
+
+    def step(lower, upper):
+        with lock:
+            old_lower, old_upper, out_lo, out_hi = last
+            # every difference first: a bad argument raises before any count moves
+            lower_in, lower_out = _changes(lower, old_lower)
+            upper_in, upper_out = _changes(upper, old_upper)
+            lo_moved = hi_moved = out_lo is None
+            for a in lower_in:
+                lo_moved |= unblock(pos_watch.get(a, ()), lo_blocks, lo_fired)
+                hi_moved |= block(neg_watch.get(a, ()), hi_blocks, hi_fired)
+            for a in lower_out:
+                lo_moved |= block(pos_watch.get(a, ()), lo_blocks, lo_fired)
+                hi_moved |= unblock(neg_watch.get(a, ()), hi_blocks, hi_fired)
+            for a in upper_in:
+                hi_moved |= unblock(pos_watch.get(a, ()), hi_blocks, hi_fired)
+                lo_moved |= block(neg_watch.get(a, ()), lo_blocks, lo_fired)
+            for a in upper_out:
+                hi_moved |= block(pos_watch.get(a, ()), hi_blocks, hi_fired)
+                lo_moved |= unblock(neg_watch.get(a, ()), lo_blocks, lo_fired)
+            # built from iterators, the frozensets grow as they fill; built from
+            # the dicts themselves, they would be presized, up to twice as large
+            if lo_moved:
+                out_lo = frozenset(iter(lo_fired))
+            if hi_moved:
+                out_hi = frozenset(iter(hi_fired))
+            last[:] = lower, upper, out_lo, out_hi
+            return out_lo, out_hi
+
+    return step
+
+
 def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Approximator:
     """The four-valued bracketing operator of a program.
 
@@ -238,19 +348,22 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
     both steps collapse to the one-step consequence operator. The formulas
     are total, inconsistent pairs included.
 
+    The step is evaluated semi-naively, so a Kripke-Kleene iteration costs
+    the rules its changes touch rather than every rule at every step.
+
     The operator is symmetric, and its lower revision at y is the least model
-    of the reduct by y, which it carries as its ``revision`` hook.
+    of the reduct by y, which it carries as its ``revision`` hook. The step
+    and the revision share one index of the rules each body atom occurs in.
     """
     lat = lattice if lattice is not None else program_lattice(program)
     rules = [(r.head, r.pos, r.neg) for r in program.rules]
-
-    def step(lower, upper):
-        lo = frozenset(h for h, pos, neg in rules if pos <= lower and neg.isdisjoint(upper))
-        hi = frozenset(h for h, pos, neg in rules if pos <= upper and neg.isdisjoint(lower))
-        return (lo, hi)
-
+    pos_watch, neg_watch = _watch_index(rules)
     return Approximator(
-        lat, step, operator=tp(program, lat), name="fitting", revision=_reduct_least_model(rules)
+        lat,
+        _fitting_step(rules, pos_watch, neg_watch),
+        operator=tp(program, lat),
+        name="fitting",
+        revision=_reduct_least_model(rules, pos_watch),
     )
 
 

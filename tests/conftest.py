@@ -77,6 +77,19 @@ def partial_stable_oracle(a):
     )
 
 
+def fitting_step_oracle(program):
+    """Reference for the step of ``fitting``: every rule body tested at the
+    pair, with no state between calls."""
+    rules = [(r.head, r.pos, r.neg) for r in program.rules]
+
+    def step(lower, upper):
+        lo = frozenset(h for h, pos, neg in rules if pos <= lower and neg.isdisjoint(upper))
+        hi = frozenset(h for h, pos, neg in rules if pos <= upper and neg.isdisjoint(lower))
+        return (lo, hi)
+
+    return step
+
+
 def ultimate_oracle(lattice, op):
     """Reference for ``ultimate``: on a consistent pair, the meet and the join
     of the operator's images of every element of the interval."""

@@ -39,7 +39,34 @@ from conftest import fs
 ABC = "s(a). s(b). s(c). ac(a, true). ac(b, a). ac(c, neg(b))."
 
 
+# (text, line, column, message) of the first ParseError, as for programs
+ADF_PARSE_ERRORS = [
+    ("s(a). ac(a, and(a)).", 1, 18, "expected ','"),
+    ("s(a)\nac(a, true).", 2, 1, "expected '.'"),
+    ("x(a).", 1, 1, "expected 's' or 'ac'"),
+    ("s(a). ac(a, neg(a)", 1, 19, "expected ')'"),
+    ("s(a).\r\nac(a, or(a, ).\r\n", 2, 13, "expected a formula"),
+    ("s(a).\n\tac(a,\ttrue))", 2, 13, "expected '.'"),
+    ("% c\ns(a). % d\nac(a, true). ac(a, false).", 3, 14, "duplicate condition for 'a'"),
+    ("s(and).", 1, 3, "'and' is reserved and cannot name a statement"),
+    ("s(not). ac(not, true).\nac(neg, true).", 2, 4, "'neg' is reserved and cannot name a statement"),
+    ("s(a). ac(a, true). ac(a, false).", 1, 20, "duplicate condition for 'a'"),
+    ("s(a). ac(a, b,).\ns(?)", 2, 3, "unexpected character '?'"),
+    ("s(a). ac(a, true", 1, 17, "expected ')'"),
+    ("s(a). ac(", 1, 10, "expected a statement name"),
+    ("s(a). ac(a, A).", 1, 13, "unexpected character 'A'"),
+    ("s(a). ac(a, true). s(b). ac(b, :-).", 1, 32, "expected a formula"),
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("text,line,column,message", ADF_PARSE_ERRORS)
+    def test_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_adf(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
+
     def test_single_statement(self):
         framework = parse_adf("s(a). ac(a, true).")
         assert framework.statements == fs("a")

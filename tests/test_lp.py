@@ -1,8 +1,10 @@
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aft.corpus import random_adf, random_adfs, random_program, random_programs
@@ -18,10 +20,45 @@ from aft.lp import (
     stable_models_oracle,
     tp,
 )
-from conftest import fs
+from conftest import fitting_step_oracle, fs
+
+
+# (text, line, column, message) of the first ParseError: CRLF and tab each
+# count as one column, and an unexpected character anywhere wins over an
+# earlier grammar error
+LP_PARSE_ERRORS = [
+    ("p :- q, not r", 1, 14, "expected '.'"),
+    ("p.\r\nq :- , r.\r\n", 2, 6, "expected an atom"),
+    ("p.\r\nq :- r\r\n", 3, 1, "expected '.'"),
+    ("p.\n\tq :-\t, r.", 2, 7, "expected an atom"),
+    ("\t\tp :- q\t.\n\t?", 2, 2, "unexpected character '?'"),
+    ("% a comment\np :- q % trailing\n", 3, 1, "expected '.'"),
+    ("% only\n% comments\np :-", 3, 5, "expected an atom"),
+    ("p :- not", 1, 9, "expected an atom"),
+    ("p :- q,", 1, 8, "expected an atom"),
+    ("not.", 1, 1, "'not' is reserved and cannot name an atom"),
+    ("p :- not not.", 1, 10, "'not' is reserved and cannot name an atom"),
+    ("a :- not.", 1, 9, "expected an atom"),
+    ("p :- , q.\nr :- s?", 2, 7, "unexpected character '?'"),
+    ("p :- , q.\nr :- sé.", 2, 7, "unexpected character 'é'"),
+    ("P.", 1, 1, "unexpected character 'P'"),
+    ("p :- q.\n\n  r s.", 3, 5, "expected '.'"),
+    ("p.%x\nq :- r %y\n%z", 3, 3, "expected '.'"),
+    ("p :- q. r :- (s).", 1, 14, "expected an atom"),
+]
 
 
 class TestParser:
+    @pytest.mark.parametrize("text,line,column,message", LP_PARSE_ERRORS)
+    def test_error_positions(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
+
+    def test_framework_keywords_name_atoms(self):
+        assert parse_program("and :- not and.").atoms == fs("and")
+
     def test_two_rules(self):
         prog = parse_program("p :- not q.\nq :- not p.")
         assert len(prog.rules) == 2
@@ -143,6 +180,79 @@ class TestFitting:
             out_lo, out_hi = a.apply(lo, hi)
             assert out_lo == fs()
         assert a.apply(fs("q"), fs())[0] == fs("p")
+
+
+# a call to one of two steps: ("jump", lower, upper) with indices into the
+# lattice's elements, "repeat" that step's last pair, or "follow" its output
+STEP_CALLS = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.one_of(
+            st.tuples(st.just("jump"), st.integers(0, 255), st.integers(0, 255)),
+            st.tuples(st.sampled_from(["repeat", "follow"])),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans(), STEP_CALLS)
+def test_semi_naive_step_equals_the_whole_rule_oracle(seed, n, overlap, calls):
+    # the steps of two approximators of one program, called directly so that
+    # repeated pairs reach them past the memo, interleaved in any order over
+    # consistent and inconsistent pairs alike
+    prog = random_program(random.Random(seed), n)
+    if overlap and n:
+        a = sorted(prog.atoms)[0]
+        prog = LogicProgram(prog.rules + (Rule(a, fs(a), fs(a)),))
+    lat = program_lattice(prog)
+    elements = sorted(lat.elements, key=sorted)
+    oracle = fitting_step_oracle(prog)
+    steps = [fitting(prog, lat)._fn, fitting(prog, lat)._fn]
+    last = [(lat.bottom, lat.top)] * 2
+    outs = [(lat.bottom, lat.top)] * 2
+    for which, call in calls:
+        if call[0] == "jump":
+            pair = (elements[call[1] % len(elements)], elements[call[2] % len(elements)])
+        else:
+            pair = last[which] if call[0] == "repeat" else outs[which]
+        outs[which] = steps[which](*pair)
+        assert outs[which] == oracle(*pair)
+        last[which] = pair
+
+
+def test_step_shared_between_threads_answers_like_the_oracle():
+    # a switch interval of a microsecond makes the threads interleave inside
+    # steps; every answer must still be the whole-rule step's
+    prog = random_program(random.Random(7), 26, max_body=3)
+    atoms = sorted(prog.atoms)
+    step = fitting(prog)._fn
+    oracle = fitting_step_oracle(prog)
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            pair = (
+                frozenset(a for a in atoms if rng.random() < 0.5),
+                frozenset(a for a in atoms if rng.random() < 0.5),
+            )
+            if step(*pair) != oracle(*pair):
+                wrong.append(pair)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 class TestReduct:
