@@ -99,31 +99,23 @@ Formula = Const | Var | Not | And | Or
 _KEYWORDS = {"true", "false", "neg", "and", "or"}
 
 
-def _support(f: Formula, lower: frozenset, upper: frozenset) -> tuple[bool, bool]:
-    """Independent truth-support and falsity-support of a formula at a pair.
-
-    A variable is truth-supported when in the lower bound and falsity-
-    supported when outside the upper bound; connectives combine the bits in
-    the obvious way. On consistent pairs at most one bit is set and the
-    reading is exactly strong Kleene; keeping the bits independent makes the
-    evaluation well-behaved on inconsistent pairs too, where a variable can
-    be supported both ways. Both bits only ever grow with precision.
+def _holds(f: Formula, x: frozenset, y: frozenset) -> bool:
+    """Truth-support of a formula at the pair (x, y): a variable is supported
+    when in x. By De Morgan, f is falsity-supported at (x, y) exactly when it
+    is not truth-supported at (y, x), so a negation swaps the bounds. On
+    consistent pairs this is strong Kleene; on inconsistent ones a formula
+    can be supported both ways. Both readings only grow with precision.
     """
-    if isinstance(f, Const):
-        return (f.value, not f.value)
     if isinstance(f, Var):
-        return (f.name in lower, f.name not in upper)
+        return f.name in x
     if isinstance(f, Not):
-        t, fa = _support(f.child, lower, upper)
-        return (fa, t)
+        return not _holds(f.child, y, x)
     if isinstance(f, And):
-        lt, lf = _support(f.left, lower, upper)
-        rt, rf = _support(f.right, lower, upper)
-        return (lt and rt, lf or rf)
+        return _holds(f.left, x, y) and _holds(f.right, x, y)
     if isinstance(f, Or):
-        lt, lf = _support(f.left, lower, upper)
-        rt, rf = _support(f.right, lower, upper)
-        return (lt or rt, lf and rf)
+        return _holds(f.left, x, y) or _holds(f.right, x, y)
+    if isinstance(f, Const):
+        return f.value
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -131,10 +123,9 @@ def eval3(formula: Formula, p: ApproxPair) -> Truth:
     """Strong Kleene evaluation against a pair: a variable is true when in
     the lower bound, false when outside the upper bound, unknown otherwise.
     On exact pairs this collapses to classical two-valued evaluation."""
-    t, fa = _support(formula, p.lower, p.upper)
-    if t:
+    if _holds(formula, p.lower, p.upper):
         return Truth.TRUE
-    if fa:
+    if not _holds(formula, p.upper, p.lower):
         return Truth.FALSE
     return Truth.UNKNOWN
 
@@ -244,7 +235,7 @@ def classical_operator(adf: Adf, lattice: PowersetLattice | None = None) -> Latt
     def dependencies():
         conditions = adf.conditions
         parents = {s: frozenset(_formula_vars(cond)) for s, cond in conditions.items()}
-        return parents, lambda s, z: _support(conditions[s], z, z)[0]
+        return parents, lambda s, z: _holds(conditions[s], z, z)
 
     return LatticeOperator(lat, name="adf", dependencies=dependencies)
 
@@ -257,14 +248,9 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
     conds = sorted(adf.conditions.items())
 
     def step(lower, upper):
-        lo, hi = [], []
-        for s, cond in conds:
-            t, fa = _support(cond, lower, upper)
-            if t:
-                lo.append(s)
-            if not fa:
-                hi.append(s)
-        return (frozenset(lo), frozenset(hi))
+        lo = frozenset(s for s, cond in conds if _holds(cond, lower, upper))
+        hi = frozenset(s for s, cond in conds if _holds(cond, upper, lower))
+        return (lo, hi)
 
     return Approximator(lat, step, operator=classical_operator(adf, lat), name="adf")
 

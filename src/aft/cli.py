@@ -199,18 +199,24 @@ def _cmd_run(args) -> int:
 # -- check -------------------------------------------------------------------
 
 
+def _atoms(value, what: str) -> frozenset:
+    # a JSON string would otherwise be read as the set of its characters
+    if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
+        raise TypeError(f"{what} is not a list of strings: {json.dumps(value)}")
+    return frozenset(value)
+
+
 def _load_tabulated(text: str):
     try:
         doc = json.loads(text)
-        universe = frozenset(doc["universe"])
-        lat = PowersetLattice(universe)
+        lat = PowersetLattice(_atoms(doc["universe"], "universe"))
         table = {}
         for entry in doc["pairs"]:
             in_lo, in_hi = entry["in"]
             out_lo, out_hi = entry["out"]
-            table[(frozenset(in_lo), frozenset(in_hi))] = (
-                frozenset(out_lo),
-                frozenset(out_hi),
+            table[(_atoms(in_lo, "in"), _atoms(in_hi, "in"))] = (
+                _atoms(out_lo, "out"),
+                _atoms(out_hi, "out"),
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed approximator table: {exc}") from exc

@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .approx import ApproxPair
-from .errors import DivergenceGuard, InconsistentPair
-from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck, check_atoms
+from .errors import InconsistentPair
+from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck, check_atoms, iterate
 
 ConvexSet = frozenset
 
@@ -87,17 +87,9 @@ def convex_kripke_kleene(
     TooManyAtoms, counting ceil(log2(size)) atoms.
     """
     check_atoms(lattice, CONVEX_ATOM_LIMIT, "convex-kk")
-    lifted = lift_operator(lattice, op)
-    cur = frozenset(lattice.elements)
-    trace = [cur]
-    bound = lattice.size + 2
-    for _ in range(bound):
-        nxt = lifted(cur)
-        if nxt == cur:
-            return cur, trace
-        cur = nxt
-        trace.append(cur)
-    raise DivergenceGuard(f"convex iteration of {op.name}", bound)
+    start, bound = frozenset(lattice.elements), lattice.size + 2
+    trace = iterate(lift_operator(lattice, op), start, bound, f"convex iteration of {op.name}")
+    return trace[-1], trace
 
 
 class ConvexSpace:

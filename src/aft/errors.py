@@ -58,8 +58,9 @@ class NonMonotoneProjection(AftError):
 
 
 class DivergenceGuard(AftError):
-    """A fixpoint iteration exceeded its theoretical step bound, or revisited
-    a pair before reaching it; ``cycle`` then holds the pairs from the
+    """A fixpoint iteration (``aft.lattice.iterate``) exceeded its
+    theoretical step bound, or revisited a value before reaching it;
+    ``cycle`` then holds the values (elements, pairs or convex sets) from the
     revisited one on, each mapped to the next and the last back to the
     first."""
 

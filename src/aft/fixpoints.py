@@ -14,6 +14,10 @@ approximator from bottom. Partial stable pairs are found by a scan over
 lowers: the upper revision depends on the lower bound alone, so each lower
 has a single candidate upper.
 
+The Kripke-Kleene and well-founded iterations and the iterated inner
+revisions all run through ``aft.lattice.iterate``: the outer ones bounded by
+twice the lattice height, the inner ones by the height, and all of them
+stopped with DivergenceGuard, and the cycle, at the first revisited value.
 Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
 
@@ -32,33 +36,18 @@ bounds, refuse more than SCAN_ATOM_LIMIT atoms left unknown by their bound.
 from __future__ import annotations
 
 from .approx import Approximator, ApproxPair
-from .errors import DivergenceGuard, NonMonotoneProjection, StableRevisionUndefined
-from .lattice import SCAN_ATOM_LIMIT, Element, LatticeOperator, check_atoms, is_monotone
+from .errors import NonMonotoneProjection, StableRevisionUndefined
+from .lattice import SCAN_ATOM_LIMIT, Element, LatticeOperator, check_atoms, is_monotone, iterate
 
 
-def _iterate_to_fixpoint(lat, start, step, what: str):
-    """Iterate ``step`` on raw pairs from ``start`` until it leaves a pair
-    fixed, returning that pair and the trace.
-
-    A strictly precision-increasing chain of pairs climbs at most the height
-    of the lattice in each bound, which sizes the guard. Such a chain never
-    revisits a pair, so a revisit raises the guard at once, with the cycle
-    it closes.
-    """
-    cur = start
-    trace = [ApproxPair(lat, *cur)]
-    seen = {cur: 0}
-    bound = 2 * lat.height + 1
-    for _ in range(bound):
-        nxt = step(*cur)
-        if nxt == cur:
-            return trace[-1], trace
-        if nxt in seen:
-            raise DivergenceGuard(what, bound, tuple(p.raw() for p in trace[seen[nxt]:]))
-        seen[nxt] = len(trace)
-        cur = nxt
-        trace.append(ApproxPair(lat, *cur))
-    raise DivergenceGuard(what, bound)
+def _pair_trace(a: Approximator, step, what: str) -> tuple[ApproxPair, list[ApproxPair]]:
+    """The last pair and the trace of ``step`` iterated on raw pairs from
+    (bottom, top); a strictly precision-increasing chain of pairs climbs at
+    most the lattice height in each bound, which sizes the guard."""
+    lat = a.lattice
+    raw = iterate(step, (lat.bottom, lat.top), 2 * lat.height + 1, what)
+    trace = [ApproxPair(lat, lo, hi) for lo, hi in raw]
+    return trace[-1], trace
 
 
 def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
@@ -67,10 +56,7 @@ def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     Iterates from (bottom, top); for a precision-monotone operator the trace
     is precision-increasing and stabilizes within twice the lattice height.
     """
-    lat = a.lattice
-    return _iterate_to_fixpoint(
-        lat, (lat.bottom, lat.top), a.apply, f"Kripke-Kleene iteration of {a.name}"
-    )
+    return _pair_trace(a, lambda p: a.apply(*p), f"Kripke-Kleene iteration of {a.name}")
 
 
 def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
@@ -127,6 +113,30 @@ def supported_fixpoints(a: Approximator) -> frozenset[Element]:
     return _search(a, kk.raw(), a.apply, lambda x: a.apply(x, x) == (x, x))
 
 
+class _Escaped(Exception):
+    """An inner iteration left the consistent region."""
+
+
+def _inner_lfp(a: Approximator, which: str, project, start, lo, hi):
+    """Least fixpoint of ``project`` iterated from ``start``; for a
+    consistency-restricted approximator None at the first iterate that
+    leaves the interval [lo, hi]."""
+    lat = a.lattice
+    step = project
+    if a.consistent_only:
+
+        def step(z):
+            nz = project(z)
+            if not (lat.leq(lo, nz) and lat.leq(nz, hi)):
+                raise _Escaped
+            return nz
+
+    try:
+        return iterate(step, start, lat.height + 1, f"{which} revision of {a.name}")[-1]
+    except _Escaped:
+        return None
+
+
 def _lower_revision(a: Approximator, upper: Element):
     """Least fixpoint of z -> a(z, upper).lower: the approximator's revision
     hook when set, otherwise iterated from bottom.
@@ -138,16 +148,7 @@ def _lower_revision(a: Approximator, upper: Element):
     lat = a.lattice
     if a.revision is not None:
         return lat.check_element(a.revision(upper))
-    z = lat.bottom
-    bound = lat.height + 1
-    for _ in range(bound):
-        nz = a.apply(z, upper)[0]
-        if nz == z:
-            return z
-        if a.consistent_only and not lat.leq(nz, upper):
-            return None
-        z = nz
-    raise DivergenceGuard(f"lower revision of {a.name}", bound)
+    return _inner_lfp(a, "lower", lambda z: a.apply(z, upper)[0], lat.bottom, lat.bottom, upper)
 
 
 def _upper_revision(a: Approximator, lower: Element):
@@ -161,16 +162,8 @@ def _upper_revision(a: Approximator, lower: Element):
     lat = a.lattice
     if a.revision is not None:
         return lat.check_element(a.revision(lower))
-    z = lower if a.consistent_only else lat.bottom
-    bound = lat.height + 1
-    for _ in range(bound):
-        nz = a.apply(lower, z)[1]
-        if nz == z:
-            return z
-        if a.consistent_only and not lat.leq(lower, nz):
-            return None
-        z = nz
-    raise DivergenceGuard(f"upper revision of {a.name}", bound)
+    start = lower if a.consistent_only else lat.bottom
+    return _inner_lfp(a, "upper", lambda z: a.apply(lower, z)[1], start, lower, lat.top)
 
 
 def _stable_raw(a: Approximator, lower: Element, upper: Element):
@@ -270,16 +263,11 @@ def stable_models(a: Approximator) -> frozenset[Element]:
 def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     """The precision-least fixpoint of the stable operator, with its trace,
     by iterating the stable operator from (bottom, top)."""
-    lat = a.lattice
 
-    def step(lower, upper):
-        out = _stable_raw(a, lower, upper)
+    def step(p):
+        out = _stable_raw(a, *p)
         if out is None:
-            raise StableRevisionUndefined(
-                (lower, upper), "well-founded iteration left the consistent region"
-            )
+            raise StableRevisionUndefined(p, "well-founded iteration left the consistent region")
         return out
 
-    return _iterate_to_fixpoint(
-        lat, (lat.bottom, lat.top), step, f"well-founded iteration of {a.name}"
-    )
+    return _pair_trace(a, step, f"well-founded iteration of {a.name}")

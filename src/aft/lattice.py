@@ -4,6 +4,9 @@ Two kinds of lattice share one protocol, ``Lattice``: lattices given
 extensionally (element set plus order relation) and powersets of a finite
 universe. Everything is desk scale by design: laws are checked exhaustively,
 and fixpoints are computed by plain Kleene iteration from the bottom element.
+``iterate`` is that iteration for every least fixpoint of the engine
+(``lfp``, Kripke-Kleene, well-founded, the inner revisions, convex), each
+with its own step bound; it stops at a revisited value with the cycle.
 """
 
 from __future__ import annotations
@@ -489,13 +492,34 @@ def is_monotone(op: LatticeOperator) -> LawCheck:
     return LawCheck(True)
 
 
+def iterate(step: Callable[[Element], Element], start: Element, bound: int, what: str) -> list:
+    """The Kleene iterates of ``step`` from ``start`` up to the first one it
+    leaves fixed. A strictly increasing chain never revisits a value, so a
+    revisit raises DivergenceGuard (naming the iteration ``what``) at once,
+    with the cycle it closes, as does taking ``bound`` steps."""
+    trace = [start]
+    seen = {start}
+    cur = start
+    for _ in range(bound):
+        nxt = step(cur)
+        if nxt == cur:
+            return trace
+        if nxt in seen:
+            raise DivergenceGuard(what, bound, tuple(trace[trace.index(nxt):]))
+        seen.add(nxt)
+        trace.append(nxt)
+        cur = nxt
+    raise DivergenceGuard(what, bound)
+
+
 def lfp(op: LatticeOperator, *, validate: bool | None = None) -> Element:
     """Least fixpoint of a monotone operator by Kleene iteration from bottom.
 
     ``validate`` defaults to an exhaustive monotonicity check on lattices of
     at most VALIDATION_LIMIT elements. A monotone operator climbs a strictly
     increasing chain from bottom, so the iteration is bounded by the lattice
-    height; exceeding the bound means the operator is broken.
+    height; exceeding the bound, or revisiting an element, means the operator
+    is broken.
     """
     lat = op.lattice
     if validate is None:
@@ -504,13 +528,4 @@ def lfp(op: LatticeOperator, *, validate: bool | None = None) -> Element:
         check = is_monotone(op)
         if not check:
             raise NonMonotoneOperator(check.witness)
-    bound = lat.height + 1
-    x = lat.bottom
-    for _ in range(bound):
-        nx = op(x)
-        if nx == x:
-            return x
-        x = nx
-    if op(x) == x:
-        return x
-    raise DivergenceGuard(f"lfp of {op.name}", bound)
+    return iterate(op, lat.bottom, lat.height + 1, f"lfp of {op.name}")[-1]

@@ -41,10 +41,6 @@ class Rule:
     pos: frozenset = frozenset()
     neg: frozenset = frozenset()
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.pos and not self.neg
-
     def to_text(self) -> str:
         body = sorted(self.pos) + [f"not {n}" for n in sorted(self.neg)]
         if not body:

@@ -1,5 +1,6 @@
 import pytest
 
+from aft.adf import And, Const, Not, Or, Var
 from aft.approx import Approximator, ApproxPair
 from aft.fixpoints import _stable_raw
 from aft.lattice import FiniteLattice
@@ -88,6 +89,25 @@ def fitting_step_oracle(program):
         return (lo, hi)
 
     return step
+
+
+def support_oracle(f, lower, upper):
+    """Reference for the ADF formula evaluation: the independent
+    truth-support and falsity-support bits of a formula at a pair. A
+    variable is truth-supported when in the lower bound and falsity-supported
+    when outside the upper bound; on inconsistent pairs both can hold."""
+    if isinstance(f, Const):
+        return (f.value, not f.value)
+    if isinstance(f, Var):
+        return (f.name in lower, f.name not in upper)
+    if isinstance(f, Not):
+        t, fa = support_oracle(f.child, lower, upper)
+        return (fa, t)
+    (lt, lf), (rt, rf) = (support_oracle(g, lower, upper) for g in (f.left, f.right))
+    if isinstance(f, And):
+        return (lt and rt, lf or rf)
+    assert isinstance(f, Or)
+    return (lt or rt, lf and rf)
 
 
 def ultimate_oracle(lattice, op):

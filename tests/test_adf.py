@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aft.adf import (
@@ -25,6 +27,7 @@ from aft.approx import (
     ultimate,
     verify_approximator,
 )
+from aft.corpus import random_adf
 from aft.errors import MissingCondition, ParseError, UndeclaredStatement
 from aft.fixpoints import (
     fixpoints_of,
@@ -34,7 +37,7 @@ from aft.fixpoints import (
     well_founded,
 )
 from aft.lp import fitting, parse_program
-from conftest import fs
+from conftest import fs, support_oracle
 
 ABC = "s(a). s(b). s(c). ac(a, true). ac(b, a). ac(c, neg(b))."
 
@@ -295,3 +298,28 @@ def test_generated_frameworks_round_trip_and_verify(conditions):
     assert verify_approximator(a) is a
     assert is_symmetric(a)
     assert is_exact_approximator(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 4))
+def test_truth_support_agrees_with_the_two_bit_reading(seed, n, depth):
+    # seeded frameworks at random pairs of subsets, consistent or not
+    rng = random.Random(seed)
+    framework = random_adf(rng, n, depth)
+    lat = adf_lattice(framework)
+    a = adf_approximator(framework, lat)
+    op = classical_operator(framework, lat)
+    names = sorted(framework.statements)
+    for _ in range(20):
+        lower, upper = (frozenset(x for x in names if rng.random() < 0.5) for _ in range(2))
+        bits = {s: support_oracle(c, lower, upper) for s, c in framework.conditions.items()}
+        assert a.apply(lower, upper) == (
+            frozenset(s for s, (t, _) in bits.items() if t),
+            frozenset(s for s, (_, fa) in bits.items() if not fa),
+        )
+        for s, (t, fa) in bits.items():
+            truth = Truth.TRUE if t else Truth.FALSE if fa else Truth.UNKNOWN
+            assert eval3(framework.conditions[s], ApproxPair(lat, lower, upper)) is truth
+        assert op(lower) == frozenset(
+            s for s, c in framework.conditions.items() if support_oracle(c, lower, lower)[0]
+        )

@@ -448,6 +448,29 @@ class TestCheck:
             "error: approximator table is not total: 0 pairs listed, 281474976710656 needed\n"
         )
 
+    @pytest.mark.parametrize(
+        "universe,bound,message",
+        [
+            ([1, "a"], None, 'universe is not a list of strings: [1, "a"]'),
+            ("pq", None, 'universe is not a list of strings: "pq"'),
+            (["p", "q"], ("in", "pq"), 'in is not a list of strings: "pq"'),
+            (["p", "q"], ("out", "q"), 'out is not a list of strings: "q"'),
+        ],
+    )
+    def test_tab_atoms_must_be_lists_of_strings(self, tmp_path, capsys, universe, bound, message):
+        # a total identity table over the declared universe, with at most one
+        # bound replaced; a string would otherwise be read as its characters
+        atoms = universe if isinstance(universe, list) else ["p", "q"]
+        subsets = [[], atoms[:1], atoms[1:], atoms]
+        pairs = [{"in": [lo, hi], "out": [lo, hi]} for lo in subsets for hi in subsets]
+        if bound is not None:
+            key, text = bound
+            pairs[-1][key] = [text, ""]
+        path = write(tmp_path, "table.json", json.dumps({"universe": universe, "pairs": pairs}))
+        code, out, err = run(capsys, "check", "tab", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed approximator table: {message}\n"
+
     def test_check_json_format(self, tmp_path, capsys):
         path = write(tmp_path, "two-cycle.lp", TWO_CYCLE)
         code, out, _ = run(capsys, "check", "lp", path, "--format", "json")

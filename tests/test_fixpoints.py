@@ -214,41 +214,85 @@ class TestStableOperator:
         assert exc.value.bound == 33
 
 
+def _swap_cases(lat, calls):
+    """Per construction: a run on an operator whose iteration from its start
+    swaps two values for ever, that 2-cycle, and the guard's step bound. kk
+    and wf swap the bounds of a pair; lfp and the generic inner revisions
+    iterate the complement, so their projections swap bottom and top."""
+    swap = Approximator(lat, lambda lo, hi: calls.append((lo, hi)) or (hi, lo), name="swap")
+    flip = Approximator(
+        lat, lambda lo, hi: calls.append((lo, hi)) or (lat.top - lo, lat.top - hi), name="swap"
+    )
+    complement = LatticeOperator(lat, lambda x: calls.append(x) or lat.top - x, name="swap")
+    pairs, ends = ((lat.bottom, lat.top), (lat.top, lat.bottom)), (lat.bottom, lat.top)
+    outer, inner = 2 * lat.height + 1, lat.height + 1
+    return {
+        "kk": (lambda: kripke_kleene(swap), pairs, outer),
+        "wf": (lambda: well_founded(swap), pairs, outer),
+        "lfp": (lambda: lfp(complement, validate=False), ends, inner),
+        "lower revision": (lambda: _lower_revision(flip, lat.top), ends, inner),
+        "upper revision": (lambda: _upper_revision(flip, lat.bottom), ends, inner),
+    }
+
+
 class TestCycleWitness:
-    @settings(max_examples=24, deadline=None)
-    @given(st.integers(1, 6), st.sampled_from([kripke_kleene, well_founded]))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(["kk", "wf", "lfp", "lower revision", "upper revision"]),
+    )
     def test_swap_approximators_report_their_two_cycle(self, n, construction):
-        # the guard fires after the four distinct pairs the two steps of the
-        # cycle evaluate, however large the height bound
+        # the guard fires after the distinct values the two steps of the
+        # cycle evaluate, however large the bound, which stays in the message
         lat = PowersetLattice(f"a{i}" for i in range(n))
         calls = []
-        a = Approximator(lat, lambda lo, hi: calls.append((lo, hi)) or (hi, lo), name="swap")
+        run, cycle, bound = _swap_cases(lat, calls)[construction]
         with pytest.raises(DivergenceGuard) as exc:
-            construction(a)
+            run()
         assert len(calls) <= 4
-        assert exc.value.cycle == ((lat.bottom, lat.top), (lat.top, lat.bottom))
-        assert str(exc.value).endswith(f"of swap did not stabilize within {2 * n + 1} steps")
+        assert exc.value.cycle == cycle
+        assert exc.value.bound == bound
+        assert str(exc.value).endswith(f"of swap did not stabilize within {bound} steps")
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(sorted(FIVE_ELEMENT_LATTICES)), st.randoms(use_true_random=False))
-    def test_permutation_tables_report_the_repeated_pairs(self, name, rnd):
+    @given(
+        st.sampled_from(sorted(FIVE_ELEMENT_LATTICES)),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_permutation_tables_report_the_repeated_pairs(self, name, on_pairs, rnd):
+        # kk walks the orbit of (bottom, top) under a permutation of the
+        # pairs, lfp the orbit of bottom under one of the elements; each
+        # orbit closes where it began
         lat = FIVE_ELEMENT_LATTICES[name]
-        pairs = sorted(itertools.product(lat.elements, repeat=2), key=repr)
-        images = list(pairs)
-        rnd.shuffle(images)
-        table = dict(zip(pairs, images))
         calls = []
-        a = Approximator(lat, lambda lo, hi: calls.append((lo, hi)) or table[(lo, hi)], name="permutation")
-        # kk walks the orbit of (bottom, top), which closes where it began
-        orbit = [(lat.bottom, lat.top)]
+        if on_pairs:
+            values = sorted(itertools.product(lat.elements, repeat=2), key=repr)
+            start, bound = (lat.bottom, lat.top), 2 * lat.height + 1
+        else:
+            values = sorted(lat.elements, key=repr)
+            start, bound = lat.bottom, lat.height + 1
+        images = list(values)
+        rnd.shuffle(images)
+        table = dict(zip(values, images))
+
+        def image(*value):
+            calls.append(value)
+            return table[value if on_pairs else value[0]]
+
+        def run():
+            if on_pairs:
+                return kripke_kleene(Approximator(lat, image, name="permutation"))[0].raw()
+            return lfp(LatticeOperator(lat, image, name="permutation"), validate=False)
+
+        orbit = [start]
         while table[orbit[-1]] != orbit[0]:
             orbit.append(table[orbit[-1]])
         if len(orbit) == 1:
-            assert kripke_kleene(a)[0].raw() == orbit[0]
+            assert run() == start
             return
-        bound = 2 * lat.height + 1
         with pytest.raises(DivergenceGuard) as exc:
-            kripke_kleene(a)
+            run()
         assert len(calls) == min(len(orbit), bound)
         assert exc.value.bound == bound
         # an orbit longer than the bound is cut off before it repeats
@@ -285,6 +329,21 @@ class TestUltimateSemantics:
         p = ApproxPair(lat, fs("p"), fs("p"))
         with pytest.raises(StableRevisionUndefined):
             stable_operator(a, p)
+
+    def test_escaping_revisions_stop_without_applying_again(self):
+        # a consistency-restricted revision is None at the first iterate
+        # outside the consistent region, which is never applied to
+        lat = PowersetLattice({"p"})
+        for image, revision, at in (
+            (lat.top, _lower_revision, lat.bottom),
+            (lat.bottom, _upper_revision, lat.top),
+        ):
+            calls = []
+            a = Approximator(
+                lat, lambda lo, hi: calls.append((lo, hi)) or (image, image), consistent_only=True
+            )
+            assert revision(a, at) is None
+            assert calls == [(at, at)]
 
 
 class TestDualityTransport:
