@@ -206,18 +206,27 @@ def _atoms(value, what: str) -> frozenset:
     return frozenset(value)
 
 
+def _bounds(entry, what: str, universe: frozenset) -> tuple:
+    value = entry[what]
+    if not (isinstance(value, list) and len(value) == 2):
+        raise TypeError(f"{what} is not a pair of bounds: {json.dumps(entry)}")
+    lo, hi = (_atoms(bound, what) for bound in value)
+    if not lo | hi <= universe:
+        raise TypeError(f"{what} names atoms outside the universe: {json.dumps(entry)}")
+    return lo, hi
+
+
 def _load_tabulated(text: str):
     try:
         doc = json.loads(text)
-        lat = PowersetLattice(_atoms(doc["universe"], "universe"))
+        universe = _atoms(doc["universe"], "universe")
+        lat = PowersetLattice(universe)
         table = {}
         for entry in doc["pairs"]:
-            in_lo, in_hi = entry["in"]
-            out_lo, out_hi = entry["out"]
-            table[(_atoms(in_lo, "in"), _atoms(in_hi, "in"))] = (
-                _atoms(out_lo, "out"),
-                _atoms(out_hi, "out"),
-            )
+            key = _bounds(entry, "in", universe)
+            out = _bounds(entry, "out", universe)
+            if table.setdefault(key, out) != out:
+                raise TypeError(f"in listed twice with different outputs: {json.dumps(entry)}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed approximator table: {exc}") from exc
     # counted before anything enumerates the lattice, which a short table
@@ -301,6 +310,8 @@ def _compare_one(prog):
 
 def _cmd_compare(args) -> int:
     if args.corpus is not None:
+        if args.corpus < 0:
+            raise ValueError(f"--corpus needs a count of programs, not {args.corpus}")
         programs = random_programs(args.corpus, seed=args.seed)
         ult_gains = 0
         cvx_gains = 0

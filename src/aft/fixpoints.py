@@ -7,17 +7,19 @@ stable fixpoints (fixpoints of the stable operator), the stable models
 (lowers of the exact ones), and the well-founded fixpoint (the
 precision-least fixpoint of the stable operator).
 
-The stable operator's two inner least fixpoints are taken from the
-approximator's ``revision`` hook when it carries one (the program frontend
-computes them as least models of the reduct) and otherwise by iterating the
-approximator from bottom. Partial stable pairs are found by a scan over
-lowers: the upper revision depends on the lower bound alone, so each lower
-has a single candidate upper.
+The stable operator's two inner least fixpoints, the revisions, come from
+one routine: the approximator's ``revision`` hook when it carries one (the
+program frontend computes them as least models of the reduct), and
+otherwise iterating a projection of the approximator. A revision of a
+consistency-restricted approximator is undefined once an iterate leaves the
+consistent region, which ``Approximator.apply`` detects. Partial stable
+pairs are found by a scan over lowers: the upper revision depends on the
+lower bound alone, so each lower has a single candidate upper.
 
-The Kripke-Kleene and well-founded iterations and the iterated inner
-revisions all run through ``aft.lattice.iterate``: the outer ones bounded by
-twice the lattice height, the inner ones by the height, and all of them
-stopped with DivergenceGuard, and the cycle, at the first revisited value.
+The Kripke-Kleene and well-founded iterations and the iterated revisions
+all run through ``aft.lattice.iterate``: the outer ones bounded by twice the
+lattice height, the inner ones by the height, and all of them stopped with
+DivergenceGuard, and the cycle, at the first revisited value.
 Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
 
@@ -36,7 +38,7 @@ bounds, refuse more than SCAN_ATOM_LIMIT atoms left unknown by their bound.
 from __future__ import annotations
 
 from .approx import Approximator, ApproxPair
-from .errors import NonMonotoneProjection, StableRevisionUndefined
+from .errors import InconsistentPair, NonMonotoneProjection, StableRevisionUndefined
 from .lattice import SCAN_ATOM_LIMIT, Element, LatticeOperator, check_atoms, is_monotone, iterate
 
 
@@ -113,64 +115,36 @@ def supported_fixpoints(a: Approximator) -> frozenset[Element]:
     return _search(a, kk.raw(), a.apply, lambda x: a.apply(x, x) == (x, x))
 
 
-class _Escaped(Exception):
-    """An inner iteration left the consistent region."""
-
-
-def _inner_lfp(a: Approximator, which: str, project, start, lo, hi):
-    """Least fixpoint of ``project`` iterated from ``start``; for a
-    consistency-restricted approximator None at the first iterate that
-    leaves the interval [lo, hi]."""
+def _revision(a: Approximator, at: Element, lower: bool):
+    """The least fixpoint of z -> A(z, at).lower when ``lower`` is set and
+    of z -> A(at, z).upper otherwise: the revision hook's value when there
+    is one, else iterated from bottom (from ``at`` for the upper revision of
+    a consistency-restricted approximator). For the latter it is None once
+    an iterate leaves the consistent region, which ``apply`` refuses before
+    evaluating it; a precision-monotone approximator climbs strictly until
+    then, so that comes within the height bound.
+    """
     lat = a.lattice
-    step = project
-    if a.consistent_only:
-
-        def step(z):
-            nz = project(z)
-            if not (lat.leq(lo, nz) and lat.leq(nz, hi)):
-                raise _Escaped
-            return nz
-
+    if a.revision is not None:
+        return lat.check_element(a.revision(at))
+    if lower:
+        side, start, step = "lower", lat.bottom, lambda z: a.apply(z, at)[0]
+    else:
+        start = at if a.consistent_only else lat.bottom
+        side, step = "upper", lambda z: a.apply(at, z)[1]
     try:
-        return iterate(step, start, lat.height + 1, f"{which} revision of {a.name}")[-1]
-    except _Escaped:
-        return None
-
-
-def _lower_revision(a: Approximator, upper: Element):
-    """Least fixpoint of z -> a(z, upper).lower: the approximator's revision
-    hook when set, otherwise iterated from bottom.
-
-    For a consistency-restricted operator the iteration is confined to the
-    elements below ``upper``; None signals that it escaped, i.e. the revision
-    is undefined there.
-    """
-    lat = a.lattice
-    if a.revision is not None:
-        return lat.check_element(a.revision(upper))
-    return _inner_lfp(a, "lower", lambda z: a.apply(z, upper)[0], lat.bottom, lat.bottom, upper)
-
-
-def _upper_revision(a: Approximator, lower: Element):
-    """Least fixpoint of z -> a(lower, z).upper.
-
-    A symmetric approximator's revision hook gives it as the lower revision
-    at ``lower``. Otherwise it is iterated from bottom for total operators; a
-    consistency-restricted operator is iterated inside [lower, top] instead,
-    starting at ``lower``, with None signalling escape below ``lower``.
-    """
-    lat = a.lattice
-    if a.revision is not None:
-        return lat.check_element(a.revision(lower))
-    start = lower if a.consistent_only else lat.bottom
-    return _inner_lfp(a, "upper", lambda z: a.apply(lower, z)[1], start, lower, lat.top)
+        return iterate(step, start, lat.height + 1, f"{side} revision of {a.name}")[-1]
+    except InconsistentPair:
+        if a.consistent_only:
+            return None
+        raise
 
 
 def _stable_raw(a: Approximator, lower: Element, upper: Element):
-    lo = _lower_revision(a, upper)
+    lo = _revision(a, upper, True)
     if lo is None:
         return None
-    hi = _upper_revision(a, lower)
+    hi = _revision(a, lower, False)
     if hi is None:
         return None
     return (lo, hi)
@@ -216,7 +190,7 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan", wf.raw())
     found = []
     for lo in lat.interval(wf.lower, wf.upper):
-        hi = _upper_revision(a, lo)
+        hi = _revision(a, lo, False)
         if hi is not None and lat.leq(lo, hi) and _stable_raw(a, lo, hi) == (lo, hi):
             found.append(ApproxPair(lat, lo, hi))
     return frozenset(found)
@@ -234,7 +208,7 @@ def _stable_bounds(a: Approximator, lower: Element, upper: Element):
     """
     if not a.consistent_only:
         return _stable_raw(a, lower, upper)
-    lo = _lower_revision(a, upper)
+    lo = _revision(a, upper, True)
     if lo is None:
         return None
     out_lo, out_hi = a.apply(lower, upper)

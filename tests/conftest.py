@@ -121,6 +121,30 @@ def ultimate_oracle(lattice, op):
     return Approximator(lattice, step, operator=op, name="ultimate oracle", consistent_only=True)
 
 
+def revision_oracle(a, at, lower):
+    """Reference for ``fixpoints._revision`` without a revision hook: the
+    lower (z -> A(z, at).lower, from bottom) or upper (z -> A(at, z).upper,
+    from bottom, or from ``at`` when consistency-restricted) projection
+    iterated until it stops changing. A consistency-restricted revision is
+    None as soon as an iterate leaves the interval it must stay in, which is
+    never applied to."""
+    lat = a.lattice
+    if lower:
+        project, start, lo, hi = (lambda z: a.apply(z, at)[0]), lat.bottom, lat.bottom, at
+    else:
+        start = at if a.consistent_only else lat.bottom
+        project, lo, hi = (lambda z: a.apply(at, z)[1]), at, lat.top
+    z = start
+    for _ in range(lat.size):
+        nz = project(z)
+        if a.consistent_only and not (lat.leq(lo, nz) and lat.leq(nz, hi)):
+            return None
+        if nz == z:
+            return z
+        z = nz
+    raise AssertionError(f"the revision at {at!r} did not stabilize")
+
+
 def supported_oracle(a):
     """Reference for ``supported_fixpoints``: every element whose exact pair
     the approximator leaves fixed, by a scan over the whole lattice."""

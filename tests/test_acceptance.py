@@ -46,6 +46,8 @@ from aft.lattice import FiniteLattice, PowersetLattice
 from aft.lp import _definite_lfp, fitting, parse_program, program_lattice, stable_models_oracle
 from conftest import ABC_ADF, NEG_LOOP, POS_LOOP, SEPARATOR, TWO_CYCLE
 
+pytestmark = pytest.mark.slow
+
 ORACLE_BUDGET_SECONDS = 60.0
 RANDOM_PROGRAMS = 500
 CROSS_FRONTEND_PROGRAMS = 100

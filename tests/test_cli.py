@@ -453,19 +453,38 @@ class TestCheck:
         [
             ([1, "a"], None, 'universe is not a list of strings: [1, "a"]'),
             ("pq", None, 'universe is not a list of strings: "pq"'),
-            (["p", "q"], ("in", "pq"), 'in is not a list of strings: "pq"'),
-            (["p", "q"], ("out", "q"), 'out is not a list of strings: "q"'),
+            (["p", "q"], ("in", ["pq", ""]), 'in is not a list of strings: "pq"'),
+            (["p", "q"], ("out", ["q", ""]), 'out is not a list of strings: "q"'),
+            (
+                ["p", "q"],
+                ("out", [[], ["z"]]),
+                'out names atoms outside the universe: {"in": [["p", "q"], ["p", "q"]], '
+                '"out": [[], ["z"]]}',
+            ),
+            (
+                ["p", "q"],
+                ("in", [["p"]]),
+                'in is not a pair of bounds: {"in": [["p"]], "out": [["p", "q"], ["p", "q"]]}',
+            ),
+            (
+                ["p", "q"],
+                ("in", [[], []]),
+                'in listed twice with different outputs: {"in": [[], []], '
+                '"out": [["p", "q"], ["p", "q"]]}',
+            ),
         ],
     )
     def test_tab_atoms_must_be_lists_of_strings(self, tmp_path, capsys, universe, bound, message):
         # a total identity table over the declared universe, with at most one
-        # bound replaced; a string would otherwise be read as its characters
+        # bound of its last entry, ({p, q}, {p, q}), replaced; a string would
+        # otherwise be read as its characters, an atom outside the universe
+        # reported as a broken law, and a repeated pair read last-wins
         atoms = universe if isinstance(universe, list) else ["p", "q"]
         subsets = [[], atoms[:1], atoms[1:], atoms]
         pairs = [{"in": [lo, hi], "out": [lo, hi]} for lo in subsets for hi in subsets]
         if bound is not None:
-            key, text = bound
-            pairs[-1][key] = [text, ""]
+            key, value = bound
+            pairs[-1][key] = value
         path = write(tmp_path, "table.json", json.dumps({"universe": universe, "pairs": pairs}))
         code, out, err = run(capsys, "check", "tab", path)
         assert (code, out) == (1, "")
@@ -511,6 +530,11 @@ class TestCompare:
         assert doc["schema"] == "aft/1"
         assert doc["programs"] == 20
         assert doc["seed"] == 42
+
+    def test_corpus_size_must_not_be_negative(self, capsys):
+        code, out, err = run(capsys, "compare", "--corpus", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: --corpus needs a count of programs, not -3\n"
 
     def test_compare_needs_input(self, capsys):
         code, _, err = run(capsys, "compare")

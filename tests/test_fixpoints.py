@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aft import fixpoints
-from aft.adf import adf_approximator, program_to_adf
+from aft.adf import adf_approximator, adf_lattice, classical_operator, program_to_adf
 from aft.approx import Approximator, ApproxPair, dual, precision_leq, ultimate
 from aft.cli import SEMANTICS
 from aft.corpus import random_adf, random_adfs, random_program, random_programs
@@ -18,9 +18,8 @@ from aft.errors import (
     TooManyAtoms,
 )
 from aft.fixpoints import (
-    _lower_revision,
+    _revision,
     _stable_raw,
-    _upper_revision,
     fixpoints_of,
     kripke_kleene,
     partial_stable_fixpoints,
@@ -45,6 +44,7 @@ from conftest import (
     TWO_CYCLE,
     fs,
     partial_stable_oracle,
+    revision_oracle,
     stable_oracle,
     supported_oracle,
 )
@@ -230,8 +230,8 @@ def _swap_cases(lat, calls):
         "kk": (lambda: kripke_kleene(swap), pairs, outer),
         "wf": (lambda: well_founded(swap), pairs, outer),
         "lfp": (lambda: lfp(complement, validate=False), ends, inner),
-        "lower revision": (lambda: _lower_revision(flip, lat.top), ends, inner),
-        "upper revision": (lambda: _upper_revision(flip, lat.bottom), ends, inner),
+        "lower revision": (lambda: _revision(flip, lat.top, True), ends, inner),
+        "upper revision": (lambda: _revision(flip, lat.bottom, False), ends, inner),
     }
 
 
@@ -329,20 +329,42 @@ class TestUltimateSemantics:
         p = ApproxPair(lat, fs("p"), fs("p"))
         with pytest.raises(StableRevisionUndefined):
             stable_operator(a, p)
+        # the lower revision at bottom climbs to {p} at once, above bottom
+        assert _revision(a, lat.bottom, True) is None
+        assert revision_oracle(a, lat.bottom, True) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+    def test_revisions_match_the_escape_oracle(self, seed, n_atoms, framework):
+        # ultimate is consistency-restricted, so some revisions escape
+        rng = random.Random(seed)
+        if framework:
+            adf = random_adf(rng, n_atoms)
+            lat = adf_lattice(adf)
+            op = classical_operator(adf, lat)
+        else:
+            prog = random_program(rng, n_atoms)
+            lat = program_lattice(prog)
+            op = tp(prog, lat)
+        # the oracle gets its own memo, so it never sees what _revision applied
+        a, ref = ultimate(lat, op), ultimate(lat, op)
+        for lo, hi in lat.consistent_pairs():
+            assert _revision(a, hi, True) == revision_oracle(ref, hi, True)
+            assert _revision(a, lo, False) == revision_oracle(ref, lo, False)
 
     def test_escaping_revisions_stop_without_applying_again(self):
         # a consistency-restricted revision is None at the first iterate
         # outside the consistent region, which is never applied to
         lat = PowersetLattice({"p"})
-        for image, revision, at in (
-            (lat.top, _lower_revision, lat.bottom),
-            (lat.bottom, _upper_revision, lat.top),
+        for image, lower, at in (
+            (lat.top, True, lat.bottom),
+            (lat.bottom, False, lat.top),
         ):
             calls = []
             a = Approximator(
                 lat, lambda lo, hi: calls.append((lo, hi)) or (image, image), consistent_only=True
             )
-            assert revision(a, at) is None
+            assert _revision(a, at, lower) is None
             assert calls == [(at, at)]
 
 
@@ -373,8 +395,8 @@ class TestRevisionHook:
         plain.revision = None
         # every pair, inconsistent ones included
         for lo, hi in itertools.product(lat.elements, repeat=2):
-            assert _lower_revision(hooked, hi) == _lower_revision(plain, hi)
-            assert _upper_revision(hooked, lo) == _upper_revision(plain, lo)
+            assert _revision(hooked, hi, True) == _revision(plain, hi, True)
+            assert _revision(hooked, lo, False) == _revision(plain, lo, False)
             assert _stable_raw(hooked, lo, hi) == _stable_raw(plain, lo, hi)
 
     def test_well_founded_on_a_long_chain_uses_only_the_hook(self):
