@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 from .approx import Approximator, ApproxPair
 from .errors import MissingCondition, UndeclaredStatement
-from .lattice import LatticeOperator, PowersetLattice
+from .lattice import LatticeOperator, PowersetLattice, powerset_of
 from .lp import LogicProgram, _Parser
 
 
@@ -46,10 +46,6 @@ class Truth(Enum):
     FALSE = 0.0
     UNKNOWN = 0.5
     TRUE = 1.0
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 @dataclass(frozen=True)
@@ -229,8 +225,10 @@ def adf_lattice(adf: Adf) -> PowersetLattice:
 
 def classical_operator(adf: Adf, lattice: PowersetLattice | None = None) -> LatticeOperator:
     """Two-valued revision: the statements whose condition holds classically,
-    evaluated statement by statement on the variables of its condition."""
-    lat = lattice if lattice is not None else adf_lattice(adf)
+    evaluated statement by statement on the variables of its condition. A
+    ``lattice`` other than the powerset of the statements raises
+    LatticeMismatch."""
+    lat = powerset_of(adf.statements, lattice, "framework's statements")
 
     def dependencies():
         conditions = adf.conditions
@@ -244,7 +242,7 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
     """Revision operator of a framework, total on all pairs: the lower step
     collects statements whose condition is truth-supported, the upper step
     those whose condition is not falsity-supported."""
-    lat = lattice if lattice is not None else adf_lattice(adf)
+    op = classical_operator(adf, lattice)
     conds = sorted(adf.conditions.items())
 
     def step(lower, upper):
@@ -252,7 +250,7 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
         hi = frozenset(s for s, cond in conds if _holds(cond, upper, lower))
         return (lo, hi)
 
-    return Approximator(lat, step, operator=classical_operator(adf, lat), name="adf")
+    return Approximator(op.lattice, step, operator=op, name="adf")
 
 
 def _conjunction(parts: list[Formula]) -> Formula:

@@ -57,9 +57,6 @@ class ApproxPair:
     def exact(self) -> bool:
         return self.lower == self.upper
 
-    def swap(self) -> "ApproxPair":
-        return ApproxPair(self.lattice, self.upper, self.lower)
-
     def raw(self) -> RawPair:
         return (self.lower, self.upper)
 
@@ -104,7 +101,8 @@ class Approximator:
     ``mapping`` takes and returns raw (lower, upper) tuples, or is an
     extensional table of them. Applications are memoized. When
     ``consistent_only`` is set the operator refuses inconsistent arguments.
-    The approximated base operator, when known, is attached as ``operator``.
+    The approximated base operator, when known, is attached as ``operator``;
+    it must be over the same lattice, or LatticeMismatch is raised.
 
     ``revision``, when given, maps y to the least fixpoint of
     z -> A(z, y).lower, which the stable-operator routines then call instead
@@ -125,6 +123,8 @@ class Approximator:
     ):
         if revision is not None and consistent_only:
             raise ValueError("a revision hook needs a total approximator")
+        if operator is not None and operator.lattice != lattice:
+            raise LatticeMismatch(f"operator {operator.name} is not over {lattice!r}")
         self.lattice = lattice
         self.operator = operator
         self.name = name
@@ -201,12 +201,12 @@ def is_precision_monotone(a: Approximator) -> LawCheck:
     return LawCheck(True)
 
 
-def brackets_operator(a: Approximator, operator: LatticeOperator | None = None) -> LawCheck:
+def brackets_operator(a: Approximator) -> LawCheck:
     """Weak bracketing: on every exact pair the approximator's output
-    interval contains the operator's value."""
-    op = operator if operator is not None else a.operator
+    interval contains the value of its attached operator."""
+    op = a.operator
     if op is None:
-        raise ValueError("no base operator attached or given")
+        raise ValueError("no base operator attached")
     lat = a.lattice
     for x in lat.elements:
         out_lo, out_hi = a.apply(x, x)
@@ -216,30 +216,29 @@ def brackets_operator(a: Approximator, operator: LatticeOperator | None = None) 
     return LawCheck(True)
 
 
-def verify_approximator(a: Approximator, operator: LatticeOperator | None = None) -> Approximator:
+def verify_approximator(a: Approximator) -> Approximator:
     """Exhaustively validate an approximator, returning it on success.
 
-    Checks precision-monotonicity and, when a base operator is attached or
-    given, that every exact pair brackets the operator's value. Raises
+    Checks precision-monotonicity and, when a base operator is attached,
+    that every exact pair brackets the operator's value. Raises
     NotPrecisionMonotone or DoesNotApproximateO with a witness otherwise.
     """
     mono = is_precision_monotone(a)
     if not mono:
         raise NotPrecisionMonotone(mono.witness)
-    op = operator if operator is not None else a.operator
-    if op is not None:
-        bracket = brackets_operator(a, op)
+    if a.operator is not None:
+        bracket = brackets_operator(a)
         if not bracket:
             raise DoesNotApproximateO(bracket.witness[0])
     return a
 
 
-def is_exact_approximator(a: Approximator, operator: LatticeOperator | None = None) -> LawCheck:
+def is_exact_approximator(a: Approximator) -> LawCheck:
     """Stricter bracketing: on every exact pair the approximator returns
-    exactly the operator's value, doubled."""
-    op = operator if operator is not None else a.operator
+    exactly its attached operator's value, doubled."""
+    op = a.operator
     if op is None:
-        raise ValueError("no base operator attached or given")
+        raise ValueError("no base operator attached")
     for x in a.lattice.elements:
         ox = op(x)
         if a.apply(x, x) != (ox, ox):
@@ -247,8 +246,8 @@ def is_exact_approximator(a: Approximator, operator: LatticeOperator | None = No
     return LawCheck(True)
 
 
-def ultimate(lattice: Lattice, op: LatticeOperator, name: str | None = None) -> Approximator:
-    """The most precise approximator of an operator.
+def ultimate(op: LatticeOperator) -> Approximator:
+    """The most precise approximator of an operator, over its lattice.
 
     On a consistent pair it meets and joins the operator's image over the
     denoted interval. Inconsistent pairs denote no interval and are rejected.
@@ -262,7 +261,7 @@ def ultimate(lattice: Lattice, op: LatticeOperator, name: str | None = None) -> 
     2**SCAN_ATOM_LIMIT elements are refused, since one step from
     (bottom, top) visits every element.
     """
-    deps = op.dependencies
+    lattice, deps = op.lattice, op.dependencies
     if deps is not None:
         parents = deps.parents
         if max(map(len, parents.values()), default=0) > SCAN_ATOM_LIMIT:
@@ -277,11 +276,7 @@ def ultimate(lattice: Lattice, op: LatticeOperator, name: str | None = None) -> 
             return (lattice.glb(images), lattice.lub(images))
 
     return Approximator(
-        lattice,
-        step,
-        operator=op,
-        name=name or f"ultimate({op.name})",
-        consistent_only=True,
+        lattice, step, operator=op, name=f"ultimate({op.name})", consistent_only=True
     )
 
 

@@ -53,19 +53,19 @@ from .lattice import PowersetLattice
 from .lp import fitting, parse_program, program_lattice
 
 # Each semantics by name, in output order: the kind of its result and a
-# function (approximator, lattice) -> (result, trace or None). A "pair" is an
-# ApproxPair, "sets" a set of elements, "pairs" a set of ApproxPairs and
-# "convex" a convex set. The functions look the engine's names up when called,
-# so a module global replaced after import (by a tracer, say) is the one used.
+# function approximator -> (result, trace or None). A "pair" is an ApproxPair,
+# "sets" a set of elements, "pairs" a set of ApproxPairs and "convex" a convex
+# set. The functions look the engine's names up when called, so a module
+# global replaced after import (by a tracer, say) is the one used.
 SEMANTICS = {
-    "kk": ("pair", lambda a, lat: kripke_kleene(a)),
-    "wf": ("pair", lambda a, lat: well_founded(a)),
-    "supported": ("sets", lambda a, lat: (supported_fixpoints(a), None)),
-    "stable": ("sets", lambda a, lat: (stable_models(a), None)),
-    "partial-stable": ("pairs", lambda a, lat: (partial_stable_fixpoints(a), None)),
-    "ultimate-kk": ("pair", lambda a, lat: kripke_kleene(ultimate(lat, a.operator))),
-    "ultimate-wf": ("pair", lambda a, lat: well_founded(ultimate(lat, a.operator))),
-    "convex-kk": ("convex", lambda a, lat: convex_kripke_kleene(lat, a.operator)),
+    "kk": ("pair", lambda a: kripke_kleene(a)),
+    "wf": ("pair", lambda a: well_founded(a)),
+    "supported": ("sets", lambda a: (supported_fixpoints(a), None)),
+    "stable": ("sets", lambda a: (stable_models(a), None)),
+    "partial-stable": ("pairs", lambda a: (partial_stable_fixpoints(a), None)),
+    "ultimate-kk": ("pair", lambda a: kripke_kleene(ultimate(a.operator))),
+    "ultimate-wf": ("pair", lambda a: well_founded(ultimate(a.operator))),
+    "convex-kk": ("convex", lambda a: convex_kripke_kleene(a.operator)),
 }
 
 _INPUT_ERRORS = (
@@ -98,16 +98,12 @@ def _parse_semantics(raw: str) -> tuple[str, ...]:
     return tuple(n for n in SEMANTICS if n in names)
 
 
-def _load_frontend(frontend: str, text: str):
+def _load_frontend(frontend: str, text: str) -> Approximator:
     if frontend == "lp":
         prog = parse_program(text)
-        lat = program_lattice(prog)
-        approximator = fitting(prog, lat)
-    else:
-        framework = parse_adf(text)
-        lat = PowersetLattice(framework.statements)
-        approximator = adf_approximator(framework, lat)
-    return lat, approximator
+        return fitting(prog, program_lattice(prog))
+    framework = parse_adf(text)
+    return adf_approximator(framework, PowersetLattice(framework.statements))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -172,14 +168,14 @@ def _text_lines(kind: str, entry) -> tuple[str, list[str]]:
 
 def _cmd_run(args) -> int:
     names = _parse_semantics(args.semantics)
-    lat, approximator = _load_frontend(args.frontend, _read_source(args.source))
+    approximator = _load_frontend(args.frontend, _read_source(args.source))
     if args.validate:
         verify_approximator(approximator)
-    atoms = sorted(lat.universe)
+    atoms = sorted(approximator.lattice.universe)
     doc: dict = {"schema": "aft/1", "frontend": args.frontend, "atoms": atoms}
     for name in names:
         kind, compute = SEMANTICS[name]
-        value, trace = compute(approximator, lat)
+        value, trace = compute(approximator)
         doc[name] = _json_entry(kind, value, trace if args.trace else None, atoms)
     # the document holds everything left to print; the approximator's memo
     # and the last result go before it is encoded
@@ -216,18 +212,27 @@ def _bounds(entry, what: str, universe: frozenset) -> tuple:
     return lo, hi
 
 
-def _load_tabulated(text: str):
+def _load_tabulated(text: str) -> Approximator:
     try:
         doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed approximator table: not JSON: {exc}") from exc
+    try:
+        if not (isinstance(doc, dict) and {"universe", "pairs"} <= doc.keys()):
+            raise TypeError(f"not an object with universe and pairs: {json.dumps(doc)}")
+        if not isinstance(doc["pairs"], list):
+            raise TypeError(f"pairs is not a list: {json.dumps(doc['pairs'])}")
         universe = _atoms(doc["universe"], "universe")
         lat = PowersetLattice(universe)
         table = {}
         for entry in doc["pairs"]:
+            if not (isinstance(entry, dict) and {"in", "out"} <= entry.keys()):
+                raise TypeError(f"pair is not an object with in and out: {json.dumps(entry)}")
             key = _bounds(entry, "in", universe)
             out = _bounds(entry, "out", universe)
             if table.setdefault(key, out) != out:
                 raise TypeError(f"in listed twice with different outputs: {json.dumps(entry)}")
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed approximator table: {exc}") from exc
     # counted before anything enumerates the lattice, which a short table
     # over a large declared universe would otherwise have to do
@@ -241,21 +246,20 @@ def _load_tabulated(text: str):
     ]
     if missing:
         raise ValueError(f"approximator table is not total: missing {missing[0]!r}")
-    return lat, Approximator(lat, table, name="tabulated")
+    return Approximator(lat, table, name="tabulated")
 
 
 def _cmd_check(args) -> int:
     text = _read_source(args.source)
     if args.frontend == "tab":
-        lat, approximator = _load_tabulated(text)
+        approximator = _load_tabulated(text)
     else:
-        lat, approximator = _load_frontend(args.frontend, text)
-    base_op = approximator.operator
+        approximator = _load_frontend(args.frontend, text)
 
     checks = [("precision-monotone", is_precision_monotone(approximator))]
-    if base_op is not None:
-        checks.append(("approximates-operator", brackets_operator(approximator, base_op)))
-        checks.append(("exact-on-diagonal", is_exact_approximator(approximator, base_op)))
+    if approximator.operator is not None:
+        checks.append(("approximates-operator", brackets_operator(approximator)))
+        checks.append(("exact-on-diagonal", is_exact_approximator(approximator)))
     else:
         checks.append(("approximates-operator", None))
         checks.append(("exact-on-diagonal", None))
@@ -295,9 +299,8 @@ _COMPARED = (("fitting-kk", "kk"), ("ultimate-kk", "ultimate-kk"), ("convex-kk",
 
 
 def _compare_one(prog):
-    lat = program_lattice(prog)
-    approximator = fitting(prog, lat)
-    values = [SEMANTICS[name][1](approximator, lat)[0] for _, name in _COMPARED]
+    approximator = fitting(prog, program_lattice(prog))
+    values = [SEMANTICS[name][1](approximator)[0] for _, name in _COMPARED]
     kk_fit, kk_ult, kk_cvx = values
     interval_ult = embed_interval(kk_ult)
     return values, {

@@ -64,31 +64,30 @@ def embed_interval(p: ApproxPair) -> ConvexSet:
     return p.lattice.interval(p.lower, p.upper)
 
 
-def lift_operator(lattice: Lattice, op: LatticeOperator) -> Callable[[ConvexSet], ConvexSet]:
-    """Lift a base operator to convex sets: hull of the pointwise image.
-    The empty (inconsistent) set is fixed. Monotone for precision: shrinking
-    the argument shrinks image and hull."""
+def lift_operator(op: LatticeOperator) -> Callable[[ConvexSet], ConvexSet]:
+    """Lift a base operator to convex sets of its lattice: hull of the
+    pointwise image. The empty (inconsistent) set is fixed. Monotone for
+    precision: shrinking the argument shrinks image and hull."""
 
     def lifted(s: ConvexSet) -> ConvexSet:
         if not s:
             return frozenset()
-        return hull(lattice, frozenset(op(z) for z in s))
+        return hull(op.lattice, frozenset(op(z) for z in s))
 
     return lifted
 
 
-def convex_kripke_kleene(
-    lattice: Lattice, op: LatticeOperator
-) -> tuple[ConvexSet, list[ConvexSet]]:
+def convex_kripke_kleene(op: LatticeOperator) -> tuple[ConvexSet, list[ConvexSet]]:
     """Precision-least fixpoint of the lifted operator, iterated from the
-    full (least precise) set; the trace shrinks monotonically.
+    full (least precise) set of its lattice; the trace shrinks monotonically.
 
     Lattices of more than 2**CONVEX_ATOM_LIMIT elements are refused with
     TooManyAtoms, counting ceil(log2(size)) atoms.
     """
+    lattice = op.lattice
     check_atoms(lattice, CONVEX_ATOM_LIMIT, "convex-kk")
     start, bound = frozenset(lattice.elements), lattice.size + 2
-    trace = iterate(lift_operator(lattice, op), start, bound, f"convex iteration of {op.name}")
+    trace = iterate(lift_operator(op), start, bound, f"convex iteration of {op.name}")
     return trace[-1], trace
 
 

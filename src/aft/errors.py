@@ -37,7 +37,9 @@ class ForeignElement(AftError):
 
 
 class LatticeMismatch(AftError):
-    """Two objects built over different lattices were combined."""
+    """Two objects built over different lattices were combined, or a
+    frontend was given a lattice other than the powerset of its input's
+    atoms."""
 
 
 class NonMonotoneOperator(AftError):
@@ -46,15 +48,6 @@ class NonMonotoneOperator(AftError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"operator is not monotone: witness {witness!r}")
-
-
-class NonMonotoneProjection(AftError):
-    """A stable-revision projection of an approximator is not monotone."""
-
-    def __init__(self, which: str, witness):
-        self.which = which
-        self.witness = witness
-        super().__init__(f"{which} projection not monotone: witness {witness!r}")
 
 
 class DivergenceGuard(AftError):

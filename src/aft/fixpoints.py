@@ -38,8 +38,8 @@ bounds, refuse more than SCAN_ATOM_LIMIT atoms left unknown by their bound.
 from __future__ import annotations
 
 from .approx import Approximator, ApproxPair
-from .errors import InconsistentPair, NonMonotoneProjection, StableRevisionUndefined
-from .lattice import SCAN_ATOM_LIMIT, Element, LatticeOperator, check_atoms, is_monotone, iterate
+from .errors import InconsistentPair, StableRevisionUndefined
+from .lattice import SCAN_ATOM_LIMIT, Element, check_atoms, iterate
 
 
 def _pair_trace(a: Approximator, step, what: str) -> tuple[ApproxPair, list[ApproxPair]]:
@@ -150,28 +150,19 @@ def _stable_raw(a: Approximator, lower: Element, upper: Element):
     return (lo, hi)
 
 
-def stable_operator(a: Approximator, p: ApproxPair, *, validate: bool = False) -> ApproxPair:
+def stable_operator(a: Approximator, p: ApproxPair) -> ApproxPair:
     """One application of the stable operator: the pair of inner least
-    fixpoints of the approximator's two projections at p.
+    fixpoints of the approximator's two projections at p, the revisions.
 
-    Precision-monotonicity of the approximator already makes both projections
-    monotone, so ``validate`` (an exhaustive re-check of that consequence) is
-    off by default.
+    The approximator must be precision-monotone, which makes both
+    projections monotone; ``verify_approximator`` checks that. A revision of
+    a consistency-restricted approximator that leaves the consistent region
+    raises StableRevisionUndefined.
     """
-    lat = a.lattice
-    if validate and not a.consistent_only:
-        low_proj = LatticeOperator(lat, lambda z: a.apply(z, p.upper)[0], name="lower projection")
-        check = is_monotone(low_proj)
-        if not check:
-            raise NonMonotoneProjection("lower", check.witness)
-        up_proj = LatticeOperator(lat, lambda z: a.apply(p.lower, z)[1], name="upper projection")
-        check = is_monotone(up_proj)
-        if not check:
-            raise NonMonotoneProjection("upper", check.witness)
     out = _stable_raw(a, p.lower, p.upper)
     if out is None:
         raise StableRevisionUndefined(p.raw(), "an inner iteration left the consistent region")
-    return ApproxPair(lat, *out)
+    return ApproxPair(a.lattice, *out)
 
 
 def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:

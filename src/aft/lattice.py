@@ -20,6 +20,7 @@ from .bitmask import Codec, Dependencies
 from .errors import (
     DivergenceGuard,
     ForeignElement,
+    LatticeMismatch,
     NonMonotoneOperator,
     NotALattice,
     NotAPartialOrder,
@@ -407,11 +408,21 @@ class PowersetLattice(Lattice):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PowersetLattice):
-            return self.universe == other.universe
+            return self is other or self.universe == other.universe
         return super().__eq__(other)
 
     # defining __eq__ drops the inherited hash; take it back unchanged
     __hash__ = Lattice.__hash__
+
+
+def powerset_of(universe: frozenset, lattice: Lattice | None, what: str) -> PowersetLattice:
+    """The powerset of ``universe``, the ``what`` of an input: ``lattice`` when
+    it is that lattice, a new one when it is None, else LatticeMismatch."""
+    if lattice is None:
+        return PowersetLattice(universe)
+    if not (isinstance(lattice, PowersetLattice) and lattice.universe == universe):
+        raise LatticeMismatch(f"{lattice!r} is not the powerset of the {what}")
+    return lattice
 
 
 class LatticeOperator:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .approx import Approximator
 from .errors import ForeignAtom, ParseError, TooManyAtoms
-from .lattice import LatticeOperator, PowersetLattice
+from .lattice import LatticeOperator, PowersetLattice, powerset_of
 
 ORACLE_ATOM_LIMIT = 20
 
@@ -162,9 +162,10 @@ def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> Lattice
     is contained in the argument and whose negative body avoids it.
 
     It is evaluated atom by atom: an atom's parents are the body atoms of its
-    rules, and its condition is that one of those rules fires.
+    rules, and its condition is that one of those rules fires. A ``lattice``
+    other than the powerset of the program's atoms raises LatticeMismatch.
     """
-    lat = lattice if lattice is not None else program_lattice(program)
+    lat = powerset_of(program.atoms, lattice, "program's atoms")
 
     def dependencies():
         bodies: dict[str, list] = {}
@@ -351,13 +352,13 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
     of the reduct by y, which it carries as its ``revision`` hook. The step
     and the revision share one index of the rules each body atom occurs in.
     """
-    lat = lattice if lattice is not None else program_lattice(program)
+    op = tp(program, lattice)
     rules = [(r.head, r.pos, r.neg) for r in program.rules]
     pos_watch, neg_watch = _watch_index(rules)
     return Approximator(
-        lat,
+        op.lattice,
         _fitting_step(rules, pos_watch, neg_watch),
-        operator=tp(program, lat),
+        operator=op,
         name="fitting",
         revision=_reduct_least_model(rules, pos_watch),
     )
@@ -384,12 +385,13 @@ def _definite_lfp(program: LogicProgram) -> frozenset:
         x = nx_
 
 
-def stable_models_oracle(program: LogicProgram, limit: int = ORACLE_ATOM_LIMIT) -> frozenset:
+def stable_models_oracle(program: LogicProgram) -> frozenset:
     """Brute-force stable models: every candidate that reproduces itself as
-    the least model of its reduct. Independent of the pair-space machinery."""
+    the least model of its reduct. Independent of the pair-space machinery.
+    Programs of more than ORACLE_ATOM_LIMIT atoms are refused."""
     atoms = sorted(program.atoms)
-    if len(atoms) > limit:
-        raise TooManyAtoms(len(atoms), limit, "stable-model oracle")
+    if len(atoms) > ORACLE_ATOM_LIMIT:
+        raise TooManyAtoms(len(atoms), ORACLE_ATOM_LIMIT, "stable-model oracle")
     out = []
     for k in range(len(atoms) + 1):
         for combo in itertools.combinations(atoms, k):

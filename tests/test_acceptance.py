@@ -93,7 +93,7 @@ def _check_program(prog, stats):
         stats["c4_violations"].append(prog.to_text())
 
     # 5. ultimate dominance and strict precision gain
-    ult = ultimate(lat, base_op)
+    ult = ultimate(base_op)
     for lo, hi in lat.consistent_pairs():
         flo, fhi = a.apply(lo, hi)
         ulo, uhi = ult.apply(lo, hi)
@@ -121,7 +121,7 @@ def _check_program(prog, stats):
         stats["c6_violations"].append(prog.to_text())
 
     # 7. convex construction at least as precise as the ultimate interval
-    convex, _ = convex_kripke_kleene(lat, base_op)
+    convex, _ = convex_kripke_kleene(base_op)
     if not convex <= embed_interval(kk_ult):
         stats["c7_violations"].append(prog.to_text())
     stats["c7_gains"] += convex != embed_interval(kk_ult)
@@ -232,7 +232,7 @@ def test_criterion_05_ultimate_dominance_and_strict_gain(battery):
     sep = parse_program(SEPARATOR)
     lat = program_lattice(sep)
     kk_fit, _ = kripke_kleene(fitting(sep, lat))
-    kk_ult, _ = kripke_kleene(ultimate(lat, fitting(sep, lat).operator))
+    kk_ult, _ = kripke_kleene(ultimate(fitting(sep, lat).operator))
     assert precision_leq(kk_fit, kk_ult) and kk_fit != kk_ult
 
 

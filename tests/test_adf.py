@@ -28,7 +28,7 @@ from aft.approx import (
     verify_approximator,
 )
 from aft.corpus import random_adf
-from aft.errors import MissingCondition, ParseError, UndeclaredStatement
+from aft.errors import LatticeMismatch, MissingCondition, ParseError, UndeclaredStatement
 from aft.fixpoints import (
     fixpoints_of,
     kripke_kleene,
@@ -36,6 +36,7 @@ from aft.fixpoints import (
     supported_fixpoints,
     well_founded,
 )
+from aft.lattice import PowersetLattice
 from aft.lp import fitting, parse_program
 from conftest import fs, support_oracle
 
@@ -189,6 +190,16 @@ class TestApproximator:
         assert is_symmetric(a)
         assert is_exact_approximator(a)
 
+    @pytest.mark.parametrize("universe", [set(), {"q"}, {"a", "q"}])
+    def test_classical_operator_refuses_a_lattice_of_other_statements(self, universe):
+        with pytest.raises(LatticeMismatch):
+            classical_operator(parse_adf("s(a). ac(a, true)."), PowersetLattice(universe))
+
+    @pytest.mark.parametrize("universe", [set(), {"q"}, {"a", "q"}])
+    def test_approximator_refuses_a_lattice_of_other_statements(self, universe):
+        with pytest.raises(LatticeMismatch):
+            adf_approximator(parse_adf("s(a). ac(a, true)."), PowersetLattice(universe))
+
     def test_self_attack_is_precision_monotone_on_inconsistent_pairs(self):
         a = adf_approximator(parse_adf("s(a). ac(a, neg(a))."))
         assert verify_approximator(a) is a
@@ -219,7 +230,7 @@ class TestSemantics:
         # b or not b is true under every completion, which strong Kleene
         # does not see while b is unknown
         a = adf_approximator(parse_adf("s(a). s(b). ac(a, or(b, neg(b))). ac(b, b)."))
-        grounded, _ = kripke_kleene(ultimate(a.lattice, a.operator))
+        grounded, _ = kripke_kleene(ultimate(a.operator))
         assert grounded.raw() == (fs("a"), fs("a", "b"))
         assert kripke_kleene(a)[0].raw() == (fs(), fs("a", "b"))
 

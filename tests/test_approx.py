@@ -151,6 +151,11 @@ class TestVerifyApproximator:
         assert verify_approximator(a) is a
         assert brackets_operator(a)
 
+    def test_operator_over_another_lattice_is_refused(self):
+        op = LatticeOperator(PowersetLattice({"p"}), lambda x: x, name="id")
+        with pytest.raises(LatticeMismatch):
+            Approximator(PQ, lambda lo, hi: (lo, hi), operator=op)
+
     def test_bracketing_violation(self):
         chain = PowersetLattice({"p"})
         op = LatticeOperator(chain, lambda x: x, name="id")
@@ -193,37 +198,37 @@ class TestUltimate:
         for prog in (two_cycle, neg_loop, definite):
             lat = program_lattice(prog)
             op = tp(prog, lat)
-            a = ultimate(lat, op)
+            a = ultimate(op)
             for x in lat.elements:
                 assert a.apply(x, x) == (op(x), op(x))
 
     def test_negative_loop_stays_unknown(self, neg_loop):
         lat = program_lattice(neg_loop)
-        a = ultimate(lat, tp(neg_loop, lat))
+        a = ultimate(tp(neg_loop, lat))
         assert a.apply(fs(), fs("p")) == (fs(), fs("p"))
 
     def test_monotone_operator_collapses_to_endpoints(self, diamond):
         op = LatticeOperator(diamond, lambda x: diamond.lub([x, "a"]), name="join_a")
-        a = ultimate(diamond, op)
+        a = ultimate(op)
         for lo, hi in diamond.consistent_pairs():
             assert a.apply(lo, hi) == (op(lo), op(hi))
 
     def test_rejects_inconsistent_pairs(self, neg_loop):
         lat = program_lattice(neg_loop)
-        a = ultimate(lat, tp(neg_loop, lat))
+        a = ultimate(tp(neg_loop, lat))
         with pytest.raises(InconsistentPair):
             a.apply(fs("p"), fs())
 
     def test_verifies_with_operator_attached(self, two_cycle):
         lat = program_lattice(two_cycle)
-        a = ultimate(lat, tp(two_cycle, lat))
+        a = ultimate(tp(two_cycle, lat))
         assert verify_approximator(a) is a
 
     def test_dominates_fitting(self, two_cycle, separator):
         for prog in (two_cycle, separator):
             lat = program_lattice(prog)
             fit = fitting(prog, lat)
-            ult = ultimate(lat, tp(prog, lat))
+            ult = ultimate(tp(prog, lat))
             for lo, hi in lat.consistent_pairs():
                 assert precision_leq(
                     ApproxPair(lat, *fit.apply(lo, hi)),
@@ -249,7 +254,7 @@ KINDS = st.sampled_from(["program", "image", "framework"])
 def test_atomwise_ultimate_equals_the_whole_interval_oracle(kind, seed, n):
     a = seeded_approximator(kind, seed, n)
     lat, op = a.lattice, a.operator
-    ult, oracle = ultimate(lat, op), ultimate_oracle(lat, op)
+    ult, oracle = ultimate(op), ultimate_oracle(lat, op)
     for lo, hi in lat.consistent_pairs():
         assert ult.apply(lo, hi) == oracle.apply(lo, hi)
 

@@ -472,20 +472,59 @@ class TestCheck:
                 'in listed twice with different outputs: {"in": [[], []], '
                 '"out": [["p", "q"], ["p", "q"]]}',
             ),
+            pytest.param(
+                None,
+                '{"universe": ["p"], "pairs": [1]}',
+                "pair is not an object with in and out: 1",
+                id="pair-not-object",
+            ),
+            pytest.param(
+                None,
+                '{"universe": ["p"], "pairs": [{"in": [[], []]}]}',
+                'pair is not an object with in and out: {"in": [[], []]}',
+                id="pair-without-out",
+            ),
+            pytest.param(
+                None,
+                '{"universe": ["p"], "pairs": {"a": 1}}',
+                'pairs is not a list: {"a": 1}',
+                id="pairs-not-list",
+            ),
+            pytest.param(
+                None,
+                '{"universe": ["p"]}',
+                'not an object with universe and pairs: {"universe": ["p"]}',
+                id="document-without-pairs",
+            ),
+            pytest.param(
+                None, "[]", "not an object with universe and pairs: []", id="document-not-object"
+            ),
+            pytest.param(
+                None,
+                "p.",
+                "not JSON: Expecting value: line 1 column 1 (char 0)",
+                id="document-not-json",
+            ),
         ],
     )
     def test_tab_atoms_must_be_lists_of_strings(self, tmp_path, capsys, universe, bound, message):
         # a total identity table over the declared universe, with at most one
-        # bound of its last entry, ({p, q}, {p, q}), replaced; a string would
+        # bound of its last entry, ({p, q}, {p, q}), replaced, or else the
+        # whole text of the file when ``bound`` is a string; a string would
         # otherwise be read as its characters, an atom outside the universe
-        # reported as a broken law, and a repeated pair read last-wins
-        atoms = universe if isinstance(universe, list) else ["p", "q"]
-        subsets = [[], atoms[:1], atoms[1:], atoms]
-        pairs = [{"in": [lo, hi], "out": [lo, hi]} for lo in subsets for hi in subsets]
-        if bound is not None:
-            key, value = bound
-            pairs[-1][key] = value
-        path = write(tmp_path, "table.json", json.dumps({"universe": universe, "pairs": pairs}))
+        # reported as a broken law, a repeated pair read last-wins, and a
+        # table of the wrong shape reported with Python's own message
+        if isinstance(bound, str):
+            text = bound
+        else:
+            atoms = universe if isinstance(universe, list) else ["p", "q"]
+            subsets = [[], atoms[:1], atoms[1:], atoms]
+            pairs = [{"in": [lo, hi], "out": [lo, hi]} for lo in subsets for hi in subsets]
+            if bound is not None:
+                key, value = bound
+                pairs[-1][key] = value
+            text = json.dumps({"universe": universe, "pairs": pairs})
+        path = write(tmp_path, "table.json", text)
         code, out, err = run(capsys, "check", "tab", path)
         assert (code, out) == (1, "")
         assert err == f"error: malformed approximator table: {message}\n"

@@ -181,23 +181,23 @@ class TestEmbedInterval:
 
 class TestLiftOperator:
     def test_singletons_stay_exact(self, diamond):
-        lifted = lift_operator(diamond, join_a(diamond))
+        lifted = lift_operator(join_a(diamond))
         for x in diamond.elements:
             assert lifted(fs(x)) == fs(diamond.lub([x, "a"]))
 
     def test_negative_loop_fixed_set(self, neg_loop):
         lat = program_lattice(neg_loop)
-        lifted = lift_operator(lat, tp(neg_loop, lat))
+        lifted = lift_operator(tp(neg_loop, lat))
         assert lifted(fs(fs(), fs("p"))) == fs(fs(), fs("p"))
 
     def test_constant_operator(self, diamond):
         op = LatticeOperator(diamond, lambda x: "b")
-        lifted = lift_operator(diamond, op)
+        lifted = lift_operator(op)
         for s in [fs("bot"), fs("a", "b"), frozenset(diamond.elements)]:
             assert lifted(s) == fs("b")
 
     def test_empty_set_is_fixed(self, diamond):
-        lifted = lift_operator(diamond, join_a(diamond))
+        lifted = lift_operator(join_a(diamond))
         assert lifted(fs()) == fs()
 
     def test_precision_monotone(self, diamond):
@@ -205,7 +205,7 @@ class TestLiftOperator:
         elems = sorted(diamond.elements)
         for _ in range(50):
             table = {x: rng.choice(elems) for x in elems}
-            lifted = lift_operator(diamond, LatticeOperator(diamond, table))
+            lifted = lift_operator(LatticeOperator(diamond, table))
             subsets = [frozenset(s) for s in itertools.chain.from_iterable(
                 itertools.combinations(elems, k) for k in range(5)
             )]
@@ -218,7 +218,7 @@ class TestLiftOperator:
 class TestConvexKripkeKleene:
     def test_diamond_join_matches_independent_oracle(self, diamond):
         op = join_a(diamond)
-        got, trace = convex_kripke_kleene(diamond, op)
+        got, trace = convex_kripke_kleene(op)
         # oracle: iterate plain images without hulling, then hull once
         cur = frozenset(diamond.elements)
         while True:
@@ -233,12 +233,12 @@ class TestConvexKripkeKleene:
 
     def test_negative_loop_keeps_full_uncertainty(self, neg_loop):
         lat = program_lattice(neg_loop)
-        got, _ = convex_kripke_kleene(lat, tp(neg_loop, lat))
+        got, _ = convex_kripke_kleene(tp(neg_loop, lat))
         assert got == fs(fs(), fs("p"))
 
     def test_constant_operator_collapses_in_one_step(self, diamond):
         op = LatticeOperator(diamond, lambda x: "b")
-        got, trace = convex_kripke_kleene(diamond, op)
+        got, trace = convex_kripke_kleene(op)
         assert got == fs("b")
         assert trace == [frozenset(diamond.elements), fs("b")]
 
@@ -246,8 +246,8 @@ class TestConvexKripkeKleene:
         for prog in (two_cycle, neg_loop, separator, definite):
             lat = program_lattice(prog)
             op = tp(prog, lat)
-            convex, _ = convex_kripke_kleene(lat, op)
-            kk_ult, _ = kripke_kleene(ultimate(lat, op))
+            convex, _ = convex_kripke_kleene(op)
+            kk_ult, _ = kripke_kleene(ultimate(op))
             assert convex <= embed_interval(kk_ult)
 
     def test_refuses_universes_beyond_the_atom_limit(self):
@@ -256,7 +256,7 @@ class TestConvexKripkeKleene:
         lat = program_lattice(prog)
         start = time.process_time()
         with pytest.raises(TooManyAtoms) as exc:
-            convex_kripke_kleene(lat, tp(prog, lat))
+            convex_kripke_kleene(tp(prog, lat))
         assert time.process_time() - start < 0.05
         assert (exc.value.count, exc.value.limit) == (CONVEX_ATOM_LIMIT + 1, CONVEX_ATOM_LIMIT)
         assert "convex-kk" in str(exc.value)

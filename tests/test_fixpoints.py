@@ -13,7 +13,6 @@ from aft.cli import SEMANTICS
 from aft.corpus import random_adf, random_adfs, random_program, random_programs
 from aft.errors import (
     DivergenceGuard,
-    NonMonotoneProjection,
     StableRevisionUndefined,
     TooManyAtoms,
 )
@@ -157,7 +156,7 @@ class TestClassicPrograms:
         a = fitting(prog, lat)
         names = ("kk", "wf", "supported", "partial-stable", "stable")
         (kk, kk_trace), (wf, _), (supported, _), (partial, _), (stable, _) = (
-            SEMANTICS[name][1](a, lat) for name in names
+            SEMANTICS[name][1](a) for name in names
         )
         assert kk.raw() == expected["kk"]
         assert wf.raw() == expected["wf"]
@@ -184,19 +183,6 @@ class TestStableOperator:
         least = lfp(tp(definite, lat))
         p = ApproxPair(lat, least, least)
         assert stable_operator(a, p) == p
-
-    def test_validation_catches_non_monotone_projection(self):
-        lat = PowersetLattice({"p"})
-        table = {
-            (fs(), fs()): (fs("p"), fs()),
-            (fs("p"), fs()): (fs(), fs()),
-            (fs(), fs("p")): (fs(), fs()),
-            (fs("p"), fs("p")): (fs(), fs()),
-        }
-        a = Approximator(lat, table, name="broken")
-        p = ApproxPair(lat, fs(), fs())
-        with pytest.raises(NonMonotoneProjection):
-            stable_operator(a, p, validate=True)
 
     def test_divergence_guard_for_oscillating_operator(self):
         lat = PowersetLattice({"p"})
@@ -304,28 +290,28 @@ class TestUltimateSemantics:
         lat = program_lattice(separator)
         op = tp(separator, lat)
         kk_fit, _ = kripke_kleene(fitting(separator, lat))
-        kk_ult, _ = kripke_kleene(ultimate(lat, op))
+        kk_ult, _ = kripke_kleene(ultimate(op))
         assert kk_fit.raw() == (fs(), fs("p", "q"))
         assert kk_ult.raw() == (fs("p"), fs("p", "q"))
         assert precision_leq(kk_fit, kk_ult) and kk_fit != kk_ult
 
     def test_well_founded_through_consistent_revisions(self, definite, separator):
         lat = program_lattice(definite)
-        wf, _ = well_founded(ultimate(lat, tp(definite, lat)))
+        wf, _ = well_founded(ultimate(tp(definite, lat)))
         assert wf.raw() == (fs("p", "q"), fs("p", "q"))
         lat = program_lattice(separator)
-        wf, _ = well_founded(ultimate(lat, tp(separator, lat)))
+        wf, _ = well_founded(ultimate(tp(separator, lat)))
         assert wf.raw() == (fs("p"), fs("p"))
 
     def test_stable_models_on_ultimate(self, neg_loop, definite):
         lat = program_lattice(neg_loop)
-        assert stable_models(ultimate(lat, tp(neg_loop, lat))) == set()
+        assert stable_models(ultimate(tp(neg_loop, lat))) == set()
         lat = program_lattice(definite)
-        assert stable_models(ultimate(lat, tp(definite, lat))) == {fs("p", "q")}
+        assert stable_models(ultimate(tp(definite, lat))) == {fs("p", "q")}
 
     def test_escaped_revision_raises(self, neg_loop):
         lat = program_lattice(neg_loop)
-        a = ultimate(lat, tp(neg_loop, lat))
+        a = ultimate(tp(neg_loop, lat))
         p = ApproxPair(lat, fs("p"), fs("p"))
         with pytest.raises(StableRevisionUndefined):
             stable_operator(a, p)
@@ -347,7 +333,7 @@ class TestUltimateSemantics:
             lat = program_lattice(prog)
             op = tp(prog, lat)
         # the oracle gets its own memo, so it never sees what _revision applied
-        a, ref = ultimate(lat, op), ultimate(lat, op)
+        a, ref = ultimate(op), ultimate(op)
         for lo, hi in lat.consistent_pairs():
             assert _revision(a, hi, True) == revision_oracle(ref, hi, True)
             assert _revision(a, lo, False) == revision_oracle(ref, lo, False)
@@ -431,7 +417,7 @@ class TestPartialStableScan:
             expected = partial_stable_oracle(a)
             assert partial_stable_fixpoints(a) == expected
             assert partial_stable_fixpoints(adf_approximator(program_to_adf(prog))) == expected
-            ult = ultimate(lat, a.operator)
+            ult = ultimate(a.operator)
             assert partial_stable_fixpoints(ult) == partial_stable_oracle(ult)
 
     def test_equals_the_pair_scan_on_frameworks(self):
@@ -447,7 +433,7 @@ class TestBoundedScans:
         prog = random_program(random.Random(seed), n_atoms)
         lat = program_lattice(prog)
         fit = fitting(prog, lat)
-        for a in (fit, adf_approximator(program_to_adf(prog)), ultimate(lat, fit.operator)):
+        for a in (fit, adf_approximator(program_to_adf(prog)), ultimate(fit.operator)):
             assert supported_fixpoints(a) == supported_oracle(a)
             assert stable_models(a) == stable_oracle(a)
             assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
@@ -488,7 +474,7 @@ class TestSearch:
         # which stops below {a, b, d} at l = {b}; the search must not use it
         prog = parse_program("a :- b, d.\nd :- d, not c.\nc :- not d.\nd :- not d.\nb.\n")
         lat = program_lattice(prog)
-        a = ultimate(lat, tp(prog, lat))
+        a = ultimate(tp(prog, lat))
         assert stable_models(a) == {fs("a", "b", "d")}
         assert stable_models(a) == stable_oracle(a)
 
@@ -528,7 +514,7 @@ class TestSearch:
         rng = random.Random(11)
         for _ in range(200):
             table = {x: rng.choice(elements) for x in elements}
-            a = ultimate(lat, LatticeOperator(lat, table))
+            a = ultimate(LatticeOperator(lat, table))
             assert supported_fixpoints(a) == supported_oracle(a)
             assert stable_models(a) == stable_oracle(a)
 
@@ -547,7 +533,7 @@ class TestAtomLimits:
             (supported_fixpoints, "supported scan", SELF_ATTACKS),
             (stable_models, "stable scan", SELF_ATTACKS),
             (partial_stable_fixpoints, "partial-stable scan", SELF_ATTACKS),
-            (lambda a: ultimate(a.lattice, a.operator), "ultimate", WIDE),
+            (lambda a: ultimate(a.operator), "ultimate", WIDE),
         ],
         ids=["supported", "stable", "partial-stable", "ultimate"],
     )
@@ -562,7 +548,7 @@ class TestAtomLimits:
     def test_ultimate_answers_a_universe_beyond_the_limit(self):
         # 17 atoms, none with more than one parent
         a = fitting(parse_program(self.CHAIN))
-        ult = ultimate(a.lattice, a.operator)
+        ult = ultimate(a.operator)
         assert kripke_kleene(ult)[0] == kripke_kleene(a)[0]
         assert well_founded(ult)[0] == well_founded(a)[0]
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aft.corpus import random_adf, random_adfs, random_program, random_programs
-from aft.errors import ForeignAtom, ParseError, TooManyAtoms
+from aft.errors import ForeignAtom, LatticeMismatch, ParseError, TooManyAtoms
+from aft.lattice import PowersetLattice
 from aft.lp import (
     LogicProgram,
     Rule,
@@ -148,6 +149,12 @@ class TestTp:
         for x in program_lattice(prog).elements:
             assert op(x) == fs("p")
 
+    @pytest.mark.parametrize("universe", [set(), {"q"}, {"p", "q"}])
+    def test_lattice_of_other_atoms_is_refused(self, universe):
+        # over {q} the fact would otherwise be dropped silently
+        with pytest.raises(LatticeMismatch):
+            tp(parse_program("p."), PowersetLattice(universe))
+
 
 class TestFitting:
     def test_two_cycle_at_least_precise(self, two_cycle):
@@ -165,6 +172,11 @@ class TestFitting:
             op = tp(prog, lat)
             for x in lat.elements:
                 assert a.apply(x, x) == (op(x), op(x))
+
+    @pytest.mark.parametrize("universe", [set(), {"q"}, {"p", "q"}])
+    def test_lattice_of_other_atoms_is_refused(self, universe):
+        with pytest.raises(LatticeMismatch):
+            fitting(parse_program("p."), PowersetLattice(universe))
 
     def test_total_on_inconsistent_pairs(self, two_cycle):
         a = fitting(two_cycle)
