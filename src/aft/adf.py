@@ -11,8 +11,8 @@ may only mention declared statements. Conditions are kept as formula trees so
 frameworks print back to their source form.
 
 The induced pair-space operator evaluates every condition in strong Kleene
-three-valued logic: the lower revision collects statements whose condition is
-true, the upper revision those whose condition is not false. The usual
+three-valued logic: the lower step collects statements whose condition is
+true, the upper step those whose condition is not false. The usual
 semantics names map onto the fixpoint families as: grounded is the
 Kripke-Kleene fixpoint of the ultimate approximator (``ultimate-kk``), of
 which the strong Kleene ``kk`` is an approximation that can be less precise
@@ -24,6 +24,11 @@ The classical operator declares each statement's parents, the statements in
 its condition, so the ultimate approximator decides a statement on the
 assignments to those alone, and grounded runs on frameworks of hundreds of
 statements whose conditions mention at most SCAN_ATOM_LIMIT statements each.
+
+The upper step is the lower one with the bounds swapped, and like the
+program frontend's, the operator carries the lower step's least fixpoint,
+iterated from bottom, as its ``revision`` hook, which ``Approximator``
+caches.
 
 Attack networks in the style of abstract argumentation are expressible
 directly (no separate frontend): give each argument the conjunction of the
@@ -38,7 +43,7 @@ from typing import Iterable, Mapping
 
 from .approx import Approximator, ApproxPair
 from .errors import MissingCondition, UndeclaredStatement
-from .lattice import LatticeOperator, PowersetLattice, powerset_of
+from .lattice import LatticeOperator, PowersetLattice, iterate, powerset_of
 from .lp import LogicProgram, _Parser
 
 
@@ -243,14 +248,18 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
     collects statements whose condition is truth-supported, the upper step
     those whose condition is not falsity-supported."""
     op = classical_operator(adf, lattice)
+    lat = op.lattice
     conds = sorted(adf.conditions.items())
 
-    def step(lower, upper):
-        lo = frozenset(s for s, cond in conds if _holds(cond, lower, upper))
-        hi = frozenset(s for s, cond in conds if _holds(cond, upper, lower))
-        return (lo, hi)
+    def lower(x, y):
+        return frozenset(s for s, cond in conds if _holds(cond, x, y))
 
-    return Approximator(op.lattice, step, operator=op, name="adf")
+    def revision(y):
+        return iterate(lambda z: lower(z, y), lat.bottom, lat.height + 1, "revision of adf")[-1]
+
+    return Approximator(
+        lat, lambda x, y: (lower(x, y), lower(y, x)), operator=op, name="adf", revision=revision
+    )
 
 
 def _conjunction(parts: list[Formula]) -> Formula:

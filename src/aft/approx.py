@@ -14,6 +14,7 @@ interval.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
@@ -106,8 +107,9 @@ class Approximator:
 
     ``revision``, when given, maps y to the least fixpoint of
     z -> A(z, y).lower, which the stable-operator routines then call instead
-    of iterating ``apply`` from bottom. Only a total, symmetric approximator
-    may carry it: symmetry makes z -> A(x, z).upper the same function as
+    of iterating ``apply`` from bottom; both frontends give one, and its
+    last four results are cached. Only a total, symmetric approximator may
+    carry it: symmetry makes z -> A(x, z).upper the same function as
     z -> A(z, x).lower, so ``revision(x)`` is also the upper revision at x.
     """
 
@@ -129,7 +131,11 @@ class Approximator:
         self.operator = operator
         self.name = name
         self.consistent_only = consistent_only
-        self.revision = revision
+        # the stable operator asks for the same revision again within a few
+        # calls: at lower and upper of an exact pair, at the bound a
+        # well-founded step left unchanged, and at a candidate's lower in the
+        # partial-stable scan; a few entries catch these without a growing memo
+        self.revision = None if revision is None else functools.lru_cache(maxsize=4)(revision)
         if isinstance(mapping, Mapping):
             table = dict(mapping)
             self._fn = lambda lo, hi: table[(lo, hi)]

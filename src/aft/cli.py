@@ -6,7 +6,8 @@
     aft compare FILE | aft compare --corpus N [--seed S]
 
 FILE may be ``-`` for stdin. Exit codes: 0 success, 1 unreadable or malformed
-input, 2 violated internal law (a broken operator or failed check).
+input or unwritable output (silently when the reader closed it), 2 violated
+internal law (a broken operator or failed check).
 
 Pair-valued results are displayed three-valued: an atom is true when in the
 lower bound, false when outside the upper bound, unknown otherwise. JSON
@@ -19,6 +20,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .adf import adf_approximator, parse_adf
@@ -74,16 +76,19 @@ _INPUT_ERRORS = (
     MissingCondition,
     ForeignAtom,
     TooManyAtoms,
-    OSError,
     ValueError,
 )
 
 
 def _read_source(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, encoding="utf-8") as handle:
-        return handle.read()
+    # a failed read is an input error, and a failed write is not
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _parse_semantics(raw: str) -> tuple[str, ...]:
@@ -312,6 +317,8 @@ def _compare_one(prog):
 
 
 def _cmd_compare(args) -> int:
+    if args.corpus is not None and args.source is not None:
+        raise ValueError("compare takes a file or --corpus N, not both")
     if args.corpus is not None:
         if args.corpus < 0:
             raise ValueError(f"--corpus needs a count of programs, not {args.corpus}")
@@ -409,7 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # a failed write; what is still buffered goes nowhere, so the flush at
+        # exit cannot fail again, and a reader that closed stdout hears nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

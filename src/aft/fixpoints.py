@@ -8,9 +8,10 @@ stable fixpoints (fixpoints of the stable operator), the stable models
 precision-least fixpoint of the stable operator).
 
 The stable operator's two inner least fixpoints, the revisions, come from
-one routine: the approximator's ``revision`` hook when it carries one (the
-program frontend computes them as least models of the reduct), and
-otherwise iterating a projection of the approximator. A revision of a
+one routine: the approximator's ``revision`` hook when it carries one, as
+both frontends' approximators do (``Approximator`` caches its last four
+results), and otherwise iterating a projection of the approximator, as for
+``ultimate``, ``dual`` and tabulated ones. A revision of a
 consistency-restricted approximator is undefined once an iterate leaves the
 consistent region, which ``Approximator.apply`` detects. Partial stable
 pairs are found by a scan over lowers: the upper revision depends on the

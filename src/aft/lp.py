@@ -13,12 +13,13 @@ only in bodies still enter the universe (they must be expressible as false).
 The module provides the two-valued one-step consequence operator, its
 four-valued bracketing approximator evaluated on all pairs by the same
 formulas, and an independent brute-force stable-model oracle via the
-classical reduct.
+classical reduct. The approximator is built from one lower step, and
+carries that step's least fixpoint, the least model of the reduct, as its
+``revision`` hook.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 import threading
@@ -187,95 +188,55 @@ def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> Lattice
     return LatticeOperator(lat, name="tp", dependencies=dependencies)
 
 
-def _watch_index(rules):
-    """Per atom, the indices of the rules with it in their positive body and
-    of those with it in their negative body."""
+def _rule_tables(program: LogicProgram):
+    """The rule tables the lower step reads: each rule's head, the size of
+    its positive body and its negative body, and per atom the indices of the
+    rules with it in their positive body and of those with it in their
+    negative body."""
+    heads, sizes, negs = [], [], []
     pos_watch: dict[str, list[int]] = {}
     neg_watch: dict[str, list[int]] = {}
-    for i, (_, pos, neg) in enumerate(rules):
-        for b in pos:
+    for i, r in enumerate(program.rules):
+        heads.append(r.head)
+        sizes.append(len(r.pos))
+        negs.append(r.neg)
+        for b in r.pos:
             pos_watch.setdefault(b, []).append(i)
-        for b in neg:
+        for b in r.neg:
             neg_watch.setdefault(b, []).append(i)
-    return pos_watch, neg_watch
+    return heads, sizes, negs, pos_watch, neg_watch
 
 
-def _reduct_least_model(rules, pos_watch):
-    """A function from a set of blocked atoms to the least model of the
-    program's reduct by it, each call linear in the program (Dowling and
-    Gallier's counter procedure).
+def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
+    """Fitting's lower step, the heads of the rules whose positive body lies
+    in x and whose negative body avoids y, as a function of (x, y); and its
+    least fixpoint in x, the least model of the reduct by y, as a function
+    of y.
 
-    Rules whose negative body meets ``blocked`` are dropped; every other rule
-    counts the atoms of its positive body not yet derived, and fires when
-    the count reaches zero. Each derived atom is propagated once, through the
-    rules that watch it in ``pos_watch``.
+    The step is semi-naive (Bancilhon and Ramakrishnan): every rule counts
+    the literals that block it, a positive atom outside x or a negative one
+    inside y, and every head the rules that fire it. A call updates only the
+    rules that watch an atom which entered or left x or y since the last
+    call, so any sequence of calls answers as testing every rule would, and
+    an output whose heads did not change is the previous output's object.
+
+    The least fixpoint is Dowling and Gallier's procedure, linear in the
+    program: rules whose negative body meets y are dropped, the others count
+    the atoms of their positive body not yet derived and fire at zero, and
+    each derived atom is propagated once, through the rules that watch it.
     """
-    bodies = [(len(pos), neg) for _, pos, neg in rules]
-    heads = [h for h, _, _ in rules]
-
-    def least_model(blocked):
-        # a dropped rule starts below zero, so decrements never fire it
-        waiting = [n if neg.isdisjoint(blocked) else -1 for n, neg in bodies]
-        agenda = [h for h, n in zip(heads, waiting) if n == 0]
-        model = set()
-        while agenda:
-            atom = agenda.pop()
-            if atom in model:
-                continue
-            model.add(atom)
-            for i in pos_watch.get(atom, ()):
-                waiting[i] -= 1
-                if waiting[i] == 0:
-                    agenda.append(heads[i])
-        return frozenset(model)
-
-    # the stable operator asks for the same revision again within a few
-    # calls: at lower and upper of an exact pair, at the bound a
-    # well-founded step left unchanged, and at a candidate's lower in the
-    # partial-stable scan; a few entries catch these without a growing memo
-    return functools.lru_cache(maxsize=4)(least_model)
-
-
-def _changes(new, old):
-    """The atoms that entered and that left, ``new - old`` and ``old - new``,
-    with one pass over the larger set when it contains the smaller."""
-    if new is old:
-        return (), ()
-    if len(new) >= len(old):
-        entered = new - old
-        return entered, (() if len(entered) == len(new) - len(old) else old - new)
-    left = old - new
-    return (() if len(left) == len(old) - len(new) else new - old), left
-
-
-def _fitting_step(rules, pos_watch, neg_watch):
-    """Fitting's step on raw pairs, evaluated semi-naively (Bancilhon and
-    Ramakrishnan): each call updates only the rules that watch an atom which
-    entered or left either bound since the pair it last computed.
-
-    Every rule counts the body literals that block it in the lower step (a
-    positive atom outside the lower bound, a negative one inside the upper)
-    and in the upper step (a positive atom outside the upper bound, a
-    negative one inside the lower), and every head the rules that fire it,
-    those with nothing blocking. The counts start at the pair
-    (empty, empty), so any sequence of calls gives the answers of testing
-    every rule. A bound of the output whose heads did not change is the
-    previous output's object again.
-    """
-    heads = [h for h, _, _ in rules]
-    lo_blocks = [len(pos) for _, pos, _ in rules]
-    hi_blocks = lo_blocks.copy()
-    lo_fired: dict[str, int] = {}
-    for h, n in zip(heads, lo_blocks):
+    blocks = list(sizes)
+    fired: dict[str, int] = {}
+    for h, n in zip(heads, sizes):
         if n == 0:
-            lo_fired[h] = lo_fired.get(h, 0) + 1
-    hi_fired = dict(lo_fired)
-    # the pair the counts stand for, and the last output; the lock keeps an
+            fired[h] = fired.get(h, 0) + 1
+    # the pair the counts stand for, and its image; the lock keeps an
     # approximator shared between threads from interleaving two updates
-    last = [frozenset(), frozenset(), None, None]
+    last_x = last_y = frozenset()
+    image = None
     lock = threading.Lock()
 
-    def block(watchers, blocks, fired):
+    def block(watchers):
         """One more blocking literal for each rule in ``watchers``; True
         when some head stops firing."""
         stopped = False
@@ -290,7 +251,7 @@ def _fitting_step(rules, pos_watch, neg_watch):
             blocks[i] += 1
         return stopped
 
-    def unblock(watchers, blocks, fired):
+    def unblock(watchers):
         """One fewer blocking literal for each rule in ``watchers``; True
         when some head starts firing."""
         started = False
@@ -305,35 +266,41 @@ def _fitting_step(rules, pos_watch, neg_watch):
                     started = True
         return started
 
-    def step(lower, upper):
+    def step(x, y):
+        nonlocal last_x, last_y, image
         with lock:
-            old_lower, old_upper, out_lo, out_hi = last
-            # every difference first: a bad argument raises before any count moves
-            lower_in, lower_out = _changes(lower, old_lower)
-            upper_in, upper_out = _changes(upper, old_upper)
-            lo_moved = hi_moved = out_lo is None
-            for a in lower_in:
-                lo_moved |= unblock(pos_watch.get(a, ()), lo_blocks, lo_fired)
-                hi_moved |= block(neg_watch.get(a, ()), hi_blocks, hi_fired)
-            for a in lower_out:
-                lo_moved |= block(pos_watch.get(a, ()), lo_blocks, lo_fired)
-                hi_moved |= unblock(neg_watch.get(a, ()), hi_blocks, hi_fired)
-            for a in upper_in:
-                hi_moved |= unblock(pos_watch.get(a, ()), hi_blocks, hi_fired)
-                lo_moved |= block(neg_watch.get(a, ()), lo_blocks, lo_fired)
-            for a in upper_out:
-                hi_moved |= block(pos_watch.get(a, ()), hi_blocks, hi_fired)
-                lo_moved |= unblock(neg_watch.get(a, ()), lo_blocks, lo_fired)
-            # built from iterators, the frozensets grow as they fill; built from
-            # the dicts themselves, they would be presized, up to twice as large
-            if lo_moved:
-                out_lo = frozenset(iter(lo_fired))
-            if hi_moved:
-                out_hi = frozenset(iter(hi_fired))
-            last[:] = lower, upper, out_lo, out_hi
-            return out_lo, out_hi
+            # both differences first: a bad argument raises before any count moves
+            x_moved = () if x is last_x else x ^ last_x
+            y_moved = () if y is last_y else y ^ last_y
+            moved = image is None
+            for a in x_moved:
+                moved |= (unblock if a in x else block)(pos_watch.get(a, ()))
+            for a in y_moved:
+                moved |= (block if a in y else unblock)(neg_watch.get(a, ()))
+            # built from an iterator, the frozenset grows as it fills; built
+            # from the dict itself, it would be presized, up to twice as large
+            if moved:
+                image = frozenset(iter(fired))
+            last_x, last_y = x, y
+            return image
 
-    return step
+    def least_fixpoint(y):
+        # a dropped rule starts below zero, so decrements never fire it
+        waiting = [n if neg.isdisjoint(y) else -1 for n, neg in zip(sizes, negs)]
+        agenda = [h for h, n in zip(heads, waiting) if n == 0]
+        model = set()
+        while agenda:
+            atom = agenda.pop()
+            if atom in model:
+                continue
+            model.add(atom)
+            for i in pos_watch.get(atom, ()):
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    agenda.append(heads[i])
+        return frozenset(model)
+
+    return step, least_fixpoint
 
 
 def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Approximator:
@@ -345,22 +312,22 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
     both steps collapse to the one-step consequence operator. The formulas
     are total, inconsistent pairs included.
 
-    The step is evaluated semi-naively, so a Kripke-Kleene iteration costs
-    the rules its changes touch rather than every rule at every step.
-
-    The operator is symmetric, and its lower revision at y is the least model
-    of the reduct by y, which it carries as its ``revision`` hook. The step
-    and the revision share one index of the rules each body atom occurs in.
+    The operator is symmetric, its upper step at (x, y) being its lower step
+    at (y, x), so it is built from one lower step: two counting instances
+    over shared rule tables, one per bound, evaluate it semi-naively, and
+    its least fixpoint at y, the least model of the reduct by y, is the
+    ``revision`` hook.
     """
     op = tp(program, lattice)
-    rules = [(r.head, r.pos, r.neg) for r in program.rules]
-    pos_watch, neg_watch = _watch_index(rules)
+    tables = _rule_tables(program)
+    lower, least_fixpoint = _lower_step(*tables)
+    upper, _ = _lower_step(*tables)
     return Approximator(
         op.lattice,
-        _fitting_step(rules, pos_watch, neg_watch),
+        lambda x, y: (lower(x, y), upper(y, x)),
         operator=op,
         name="fitting",
-        revision=_reduct_least_model(rules, pos_watch),
+        revision=least_fixpoint,
     )
 
 

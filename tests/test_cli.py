@@ -578,3 +578,44 @@ class TestCompare:
     def test_compare_needs_input(self, capsys):
         code, _, err = run(capsys, "compare")
         assert code == 1
+
+    def test_file_and_corpus_together_are_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "two-cycle.lp", TWO_CYCLE)
+        code, out, err = run(capsys, "compare", path, "--corpus", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: compare takes a file or --corpus N, not both\n"
+
+
+def test_output_closed_by_its_reader_ends_quietly(tmp_path):
+    # the trace of a 60-layer chain is far larger than a pipe's buffer, so
+    # the command is still writing when the pipe closes after one line
+    path = write(tmp_path, "chain.lp", negation_chain(60))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aft.__file__)))
+    argv = [sys.executable, "-m", "aft.cli", "lp", path, "--semantics", "kk"]
+    argv += ["--trace", "--format", "json"]
+    pipe = subprocess.PIPE
+    with subprocess.Popen(argv, stdout=pipe, stderr=pipe, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_output_that_cannot_be_written_is_an_error(tmp_path):
+    path = write(tmp_path, "two-cycle.lp", TWO_CYCLE)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aft.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aft.cli", "lp", path],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the output: [Errno 28] No space left on device\n"

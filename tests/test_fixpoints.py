@@ -374,34 +374,42 @@ class TestRevisionHook:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     def test_hook_agrees_with_iteration_on_every_pair(self, seed, n_atoms):
-        prog = random_program(random.Random(seed), n_atoms)
-        lat = program_lattice(prog)
-        hooked = fitting(prog, lat)
-        plain = fitting(prog, lat)
-        plain.revision = None
-        # every pair, inconsistent ones included
-        for lo, hi in itertools.product(lat.elements, repeat=2):
-            assert _revision(hooked, hi, True) == _revision(plain, hi, True)
-            assert _revision(hooked, lo, False) == _revision(plain, lo, False)
-            assert _stable_raw(hooked, lo, hi) == _stable_raw(plain, lo, hi)
+        rng = random.Random(seed)
+        prog, framework = random_program(rng, n_atoms), random_adf(rng, n_atoms)
+        for build, source in ((fitting, prog), (adf_approximator, framework)):
+            hooked = build(source)
+            plain = build(source)
+            plain.revision = None
+            # every pair, inconsistent ones included
+            for lo, hi in itertools.product(hooked.lattice.elements, repeat=2):
+                assert _revision(hooked, hi, True) == _revision(plain, hi, True)
+                assert _revision(hooked, lo, False) == _revision(plain, lo, False)
+                assert _stable_raw(hooked, lo, hi) == _stable_raw(plain, lo, hi)
 
     def test_well_founded_on_a_long_chain_uses_only_the_hook(self):
-        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (331 atoms)
-        layers = 165
-        prog = parse_program(
-            "a0.\n"
-            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
-        )
-        a = fitting(prog)
-        calls = []
-        least_model = a.revision
-        a.revision = lambda blocked: calls.append(blocked) or least_model(blocked)
-        wf, trace = well_founded(a)
-        assert wf.exact and wf.lower == frozenset(f"a{i}" for i in range(layers + 1))
-        # one stable-operator application per trace entry, the last one
-        # confirming the fixpoint; each takes one hook call per bound
-        assert len(calls) == 2 * len(trace)
-        assert a._memo == {}
+        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (2 * layers + 1
+        # atoms), as a program of 165 layers and a framework image of 20
+        def chain(layers):
+            return parse_program(
+                "a0.\n"
+                + "".join(
+                    f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers)
+                )
+            )
+
+        for layers, a in (
+            (165, fitting(chain(165))),
+            (20, adf_approximator(program_to_adf(chain(20)))),
+        ):
+            calls = []
+            least_fixpoint = a.revision
+            a.revision = lambda y: calls.append(y) or least_fixpoint(y)
+            wf, trace = well_founded(a)
+            assert wf.exact and wf.lower == frozenset(f"a{i}" for i in range(layers + 1))
+            # one stable-operator application per trace entry, the last one
+            # confirming the fixpoint; each takes one hook call per bound
+            assert len(calls) == 2 * len(trace)
+            assert a._memo == {}
 
     def test_hook_needs_a_total_approximator(self):
         lat = PowersetLattice({"p"})
