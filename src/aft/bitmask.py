@@ -1,16 +1,20 @@
-"""Elements of a powerset as int bitmasks, inside the operations that loop
-over many of them.
+"""Elements of a powerset as int bitmasks, and sets of elements as int
+bitsets over those masks, inside the operations that loop over many of them.
 
-Bit i of a mask stands for the i-th atom of the universe in sorted order. No
-mask leaves this module: ``Codec.hull`` and ``Dependencies`` take and return
-frozensets, and ``PowersetLattice`` builds the codec the first time one of
-them is needed.
+Bit i of a mask stands for the i-th atom of the universe in sorted order, and
+bit m of a bitset for the element whose mask is m. ``Codec.hull`` and
+``Dependencies.image``/``bounds`` take and return frozensets, and
+``PowersetLattice`` builds the codec the first time one of them is needed.
+Only ``aft.convex`` keeps masks outside this module: it iterates bitsets,
+built from ``Dependencies.image_masks`` and closed by ``Codec.close``, and
+turns each iterate back into frozensets once.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class Codec:
@@ -45,24 +49,54 @@ class Codec:
             mask >>= 8
         return frozenset(atoms)
 
-    def hull(self, members: Iterable[frozenset]) -> frozenset:
-        """Smallest convex superset of the members, the cover closure of
-        ``Lattice.hull`` taken one atom at a time: for each atom in the
-        members' join but not their meet, the masks reached so far are closed
-        upwards by adding it and downwards by removing it. Only the hull's
-        elements that are not members are turned back into frozensets."""
-        given = {self.mask(x): x for x in members}
-        if not given:
+    @cached_property
+    def _shifts(self) -> list[tuple[int, int, int]]:
+        """For each atom i, the shift 2**i and the bitsets of the masks
+        without bit i and of those with it."""
+        full = (1 << (1 << len(self.atoms))) - 1
+        shifts = []
+        for i in range(len(self.atoms)):
+            step = 1 << i
+            clear = full // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+            shifts.append((step, clear, full ^ clear))
+        return shifts
+
+    def close(self, masks: int) -> int:
+        """The hull of a bitset of masks: its closure upwards, adding each
+        atom to the masks without it by a shift, met with its closure
+        downwards, removing each atom from the masks with it. One pass over
+        the atoms suffices, as closing under one atom keeps the closure
+        under the atoms before it. About 2 * |U| operations on ints of
+        2**|U| bits."""
+        up = down = masks
+        for step, clear, has in self._shifts:
+            up |= (up & clear) << step
+            down |= (down & has) >> step
+        return up & down
+
+    @staticmethod
+    def hull(members: Iterable[frozenset]) -> frozenset:
+        """Smallest convex superset of the members: ``close`` in the codec of
+        the atoms in the members' join but not in their meet, the only atoms
+        on which elements of the hull differ, so that the bitsets grow with
+        those atoms rather than with the universe."""
+        members = list(members)
+        if not members:
             return frozenset()
-        up, down = set(given), set(given)
-        free = reduce(int.__or__, up) & ~reduce(int.__and__, up)
-        while free:
-            bit = free & -free
-            free ^= bit
-            up |= {y | bit for y in up}
-            down |= {y & ~bit for y in down}
-        decode = self.decode
-        return frozenset(given[y] if y in given else decode(y) for y in up & down)
+        meet = frozenset.intersection(*members)
+        free = Codec(frozenset.union(*members) - meet)
+        closed = free.close(sum({1 << free.mask(x - meet) for x in members}))
+        return frozenset(meet | free.decode(m) for m in select(range(closed.bit_length()), closed))
+
+
+# maps the digits of ``bin`` to the bytes 0 and 1, which ``compress`` reads
+# as false and true
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def select(items: Sequence, bitset: int) -> Iterator:
+    """The items at the positions of the bits set in ``bitset``."""
+    return compress(items, bin(bitset)[:1:-1].encode().translate(_DIGITS))
 
 
 class _ConditionTable(dict):
@@ -106,6 +140,27 @@ class Dependencies:
         zmask = sum(map(self._bit, z))
         table = self._table
         return frozenset([p for p, pmask, key in self._rows if table[zmask & pmask | key]])
+
+    def image_masks(self) -> list[int]:
+        """The mask of the image of every mask, in mask order. The image of
+        a mask is that of the mask without its highest atom with only that
+        atom's children, the atoms of which it is a parent, decided again."""
+        table, rows = self._table, self._rows
+        images = [sum(1 << j for j, (_, _, key) in enumerate(rows) if table[key])]
+        for i in range(len(rows)):
+            # images holds the images of the masks below bit, those of the
+            # atoms below i; the masks bit + k, which add atom i to k, follow
+            bit = 1 << i
+            block = images
+            for j, (_, pmask, key) in enumerate(rows):
+                if pmask & bit:
+                    child, other = 1 << j, ~(1 << j)
+                    block = [
+                        image | child if table[m & pmask | key] else image & other
+                        for m, image in enumerate(block, bit)
+                    ]
+            images = images + block
+        return images
 
     def bounds(self, lower: frozenset, upper: frozenset) -> tuple[frozenset, frozenset]:
         """The meet and the join of the images of the elements between lower

@@ -24,14 +24,25 @@ from typing import Callable, Iterable
 
 from .approx import ApproxPair
 from .errors import InconsistentPair
-from .lattice import FiniteLattice, Lattice, LatticeOperator, LawCheck, check_atoms, iterate
+from .bitmask import select
+from .lattice import (
+    FiniteLattice,
+    Lattice,
+    LatticeOperator,
+    LawCheck,
+    PowersetLattice,
+    check_atoms,
+    iterate,
+)
 
 ConvexSet = frozenset
 
-# convex_kripke_kleene starts from the set of all elements, and on a powerset
-# each hull closes the members' bitmasks one atom at a time, a pass over up
-# to 2**|U| masks per atom, so a step costs about 2**|U| * |U| mask
-# operations; it refuses powersets of more atoms than this
+# convex_kripke_kleene starts from the set of all elements. On a powerset it
+# holds each iterate as a bitset over the 2**|U| masks: the image mask of
+# every mask is computed once (2**|U| masks, each re-deciding the children of
+# one atom), and a step ORs the members' image masks and closes the bitset
+# by 2 * |U| shifts of a 2**|U|-bit int, so the cost grows as 2**|U|; it
+# refuses powersets of more atoms than this
 CONVEX_ATOM_LIMIT = 12
 
 
@@ -51,7 +62,8 @@ def is_convex(lattice: Lattice, members: Iterable) -> LawCheck:
 def hull(lattice: Lattice, members: Iterable) -> ConvexSet:
     """Smallest convex superset: everything bounded by members on both sides.
     Each kind of lattice computes it (``Lattice.hull``): an explicit lattice
-    by walking covers, a powerset over bitmasks."""
+    by walking covers, a powerset by closing a bitset of the members' masks
+    with shifts."""
     return lattice.hull(members)
 
 
@@ -67,7 +79,8 @@ def embed_interval(p: ApproxPair) -> ConvexSet:
 def lift_operator(op: LatticeOperator) -> Callable[[ConvexSet], ConvexSet]:
     """Lift a base operator to convex sets of its lattice: hull of the
     pointwise image. The empty (inconsistent) set is fixed. Monotone for
-    precision: shrinking the argument shrinks image and hull."""
+    precision: shrinking the argument shrinks image and hull.
+    ``convex_kripke_kleene`` iterates it on lattices other than powersets."""
 
     def lifted(s: ConvexSet) -> ConvexSet:
         if not s:
@@ -81,13 +94,30 @@ def convex_kripke_kleene(op: LatticeOperator) -> tuple[ConvexSet, list[ConvexSet
     """Precision-least fixpoint of the lifted operator, iterated from the
     full (least precise) set of its lattice; the trace shrinks monotonically.
 
+    On a powerset the iterates are bitsets over the elements' masks, and a
+    step ORs the image masks of the members, taken from the operator's
+    dependencies or else from the operator itself, then closes the result
+    (``Codec.close``); each iterate turns back into frozensets once. Other
+    lattices iterate ``lift_operator`` on frozensets.
+
     Lattices of more than 2**CONVEX_ATOM_LIMIT elements are refused with
     TooManyAtoms, counting ceil(log2(size)) atoms.
     """
     lattice = op.lattice
     check_atoms(lattice, CONVEX_ATOM_LIMIT, "convex-kk")
-    start, bound = frozenset(lattice.elements), lattice.size + 2
-    trace = iterate(lift_operator(op), start, bound, f"convex iteration of {op.name}")
+    bound, what = lattice.size + 2, f"convex iteration of {op.name}"
+    if not isinstance(lattice, PowersetLattice):
+        trace = iterate(lift_operator(op), frozenset(lattice.elements), bound, what)
+        return trace[-1], trace
+    codec, elements = lattice._codec, lattice._all_subsets
+    deps = op.dependencies
+    images = deps.image_masks() if deps is not None else [codec.mask(op(x)) for x in elements]
+
+    def step(members: int) -> int:
+        return codec.close(sum(1 << m for m in set(select(images, members))))
+
+    iterates = iterate(step, (1 << len(elements)) - 1, bound, what)
+    trace = [frozenset(select(elements, s)) for s in iterates]
     return trace[-1], trace
 
 

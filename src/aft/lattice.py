@@ -324,8 +324,11 @@ class PowersetLattice(Lattice):
 
     Meets, joins and order tests are plain set operations, so nothing is
     materialized until something genuinely enumerates the elements (scans,
-    exhaustive law checks). The hull and the per-atom evaluation of
-    operators work on int bitmasks of the elements inside ``aft.bitmask``.
+    exhaustive law checks, convex iteration). The per-atom evaluation of
+    operators works on int bitmasks of the elements, and the hull closes a
+    bitset of them by shifts, inside ``aft.bitmask``; ``_all_subsets`` lists
+    the elements in the order of their masks, so that a bitset over the
+    masks turns back into frozensets by position.
     """
 
     def __init__(self, universe: Iterable):
@@ -334,15 +337,17 @@ class PowersetLattice(Lattice):
         self.top = self.universe
 
     @cached_property
-    def _all_subsets(self) -> frozenset:
+    def _all_subsets(self) -> list[frozenset]:
+        """Every element, at the index of its ``Codec`` mask."""
         members = [frozenset()]
         for a in sorted(self.universe):
-            members += [m | {a} for m in members]
-        return frozenset(members)
+            atom = frozenset((a,))
+            members += [m | atom for m in members]
+        return members
 
-    @property
+    @cached_property
     def elements(self) -> frozenset:
-        return self._all_subsets
+        return frozenset(self._all_subsets)
 
     @property
     def size(self) -> int:
@@ -398,9 +403,9 @@ class PowersetLattice(Lattice):
         return [(x | {p}, y), (x, y - {p})]
 
     def hull(self, members) -> frozenset:
-        """Smallest convex superset, closed over the members' bitmasks
-        (``Codec.hull``)."""
-        return self._codec.hull(self.check_element(x) for x in members)
+        """Smallest convex superset, a bitset of the members' masks closed
+        by shifts (``Codec.hull``)."""
+        return Codec.hull(self.check_element(x) for x in members)
 
     @cached_property
     def _codec(self) -> Codec:

@@ -207,18 +207,32 @@ def _rule_tables(program: LogicProgram):
     return heads, sizes, negs, pos_watch, neg_watch
 
 
+def _changes(new, old):
+    """The atoms that entered and that left, ``new - old`` and ``old - new``,
+    with one pass over the larger set when it contains the smaller."""
+    if new is old:
+        return (), ()
+    if len(new) >= len(old):
+        entered = new - old
+        return entered, (() if len(entered) == len(new) - len(old) else old - new)
+    left = old - new
+    return (() if len(left) == len(old) - len(new) else new - old), left
+
+
 def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
     """Fitting's lower step, the heads of the rules whose positive body lies
-    in x and whose negative body avoids y, as a function of (x, y); and its
-    least fixpoint in x, the least model of the reduct by y, as a function
-    of y.
+    in x and whose negative body avoids y, as a function of the atoms that
+    entered and left x and y since the previous call, from (empty, empty);
+    and its least fixpoint in x, the least model of the reduct by y, as a
+    function of y.
 
     The step is semi-naive (Bancilhon and Ramakrishnan): every rule counts
     the literals that block it, a positive atom outside x or a negative one
     inside y, and every head the rules that fire it. A call updates only the
-    rules that watch an atom which entered or left x or y since the last
-    call, so any sequence of calls answers as testing every rule would, and
-    an output whose heads did not change is the previous output's object.
+    rules that watch an atom which entered or left x or y, so any sequence
+    of calls answers as testing every rule would, and an output whose heads
+    did not change is the previous output's object. Its caller keeps the
+    pair the counts stand for, and a lock around each call.
 
     The least fixpoint is Dowling and Gallier's procedure, linear in the
     program: rules whose negative body meets y are dropped, the others count
@@ -230,11 +244,7 @@ def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
     for h, n in zip(heads, sizes):
         if n == 0:
             fired[h] = fired.get(h, 0) + 1
-    # the pair the counts stand for, and its image; the lock keeps an
-    # approximator shared between threads from interleaving two updates
-    last_x = last_y = frozenset()
     image = None
-    lock = threading.Lock()
 
     def block(watchers):
         """One more blocking literal for each rule in ``watchers``; True
@@ -266,23 +276,22 @@ def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
                     started = True
         return started
 
-    def step(x, y):
-        nonlocal last_x, last_y, image
-        with lock:
-            # both differences first: a bad argument raises before any count moves
-            x_moved = () if x is last_x else x ^ last_x
-            y_moved = () if y is last_y else y ^ last_y
-            moved = image is None
-            for a in x_moved:
-                moved |= (unblock if a in x else block)(pos_watch.get(a, ()))
-            for a in y_moved:
-                moved |= (block if a in y else unblock)(neg_watch.get(a, ()))
-            # built from an iterator, the frozenset grows as it fills; built
-            # from the dict itself, it would be presized, up to twice as large
-            if moved:
-                image = frozenset(iter(fired))
-            last_x, last_y = x, y
-            return image
+    def step(x_in, x_out, y_in, y_out):
+        nonlocal image
+        moved = image is None
+        for a in x_in:
+            moved |= unblock(pos_watch.get(a, ()))
+        for a in x_out:
+            moved |= block(pos_watch.get(a, ()))
+        for a in y_in:
+            moved |= block(neg_watch.get(a, ()))
+        for a in y_out:
+            moved |= unblock(neg_watch.get(a, ()))
+        # built from an iterator, the frozenset grows as it fills; built
+        # from the dict itself, it would be presized, up to twice as large
+        if moved:
+            image = frozenset(iter(fired))
+        return image
 
     def least_fixpoint(y):
         # a dropped rule starts below zero, so decrements never fire it
@@ -314,21 +323,30 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
 
     The operator is symmetric, its upper step at (x, y) being its lower step
     at (y, x), so it is built from one lower step: two counting instances
-    over shared rule tables, one per bound, evaluate it semi-naively, and
-    its least fixpoint at y, the least model of the reduct by y, is the
-    ``revision`` hook.
+    over shared rule tables, one per bound, evaluate it semi-naively from
+    the changes of both bounds, computed once per call, and its least
+    fixpoint at y, the least model of the reduct by y, is the ``revision``
+    hook.
     """
     op = tp(program, lattice)
     tables = _rule_tables(program)
     lower, least_fixpoint = _lower_step(*tables)
     upper, _ = _lower_step(*tables)
-    return Approximator(
-        op.lattice,
-        lambda x, y: (lower(x, y), upper(y, x)),
-        operator=op,
-        name="fitting",
-        revision=least_fixpoint,
-    )
+    # the pair both instances' counts stand for; the lock keeps an
+    # approximator shared between threads from interleaving two updates
+    last_x = last_y = frozenset()
+    lock = threading.Lock()
+
+    def step(x, y):
+        nonlocal last_x, last_y
+        with lock:
+            # both differences first: a bad argument raises before any count moves
+            x_in, x_out = _changes(x, last_x)
+            y_in, y_out = _changes(y, last_y)
+            last_x, last_y = x, y
+            return lower(x_in, x_out, y_in, y_out), upper(y_in, y_out, x_in, x_out)
+
+    return Approximator(op.lattice, step, operator=op, name="fitting", revision=least_fixpoint)
 
 
 def gl_reduct(program: LogicProgram, model: frozenset) -> LogicProgram:

@@ -3,7 +3,7 @@ import pytest
 from aft.adf import And, Const, Not, Or, Var
 from aft.approx import Approximator, ApproxPair
 from aft.fixpoints import _stable_raw
-from aft.lattice import FiniteLattice
+from aft.lattice import FiniteLattice, Lattice
 from aft.lp import parse_program
 
 TWO_CYCLE = "p :- not q.\nq :- not p.\n"
@@ -166,3 +166,17 @@ def hull_oracle(lattice, members):
         for y in lattice.elements
         if any(lattice.leq(a, y) for a in s) and any(lattice.leq(y, b) for b in s)
     )
+
+
+def convex_kk_oracle(op):
+    """Reference for ``convex_kripke_kleene``: the lifted operator on
+    frozensets, the cover-walk hull of the base class ``Lattice.hull`` over
+    the images of the members, iterated from the set of all elements until
+    it leaves an iterate fixed; the result and the whole trace."""
+    lat = op.lattice
+    trace = [frozenset(lat.elements)]
+    while True:
+        nxt = Lattice.hull(lat, {op(z) for z in trace[-1]})
+        if nxt == trace[-1]:
+            return nxt, trace
+        trace.append(nxt)

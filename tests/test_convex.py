@@ -3,10 +3,12 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aft.adf import classical_operator, parse_adf
 from aft.approx import ApproxPair, precision_leq, ultimate
+from aft.bitmask import select
 from aft.convex import (
     CONVEX_ATOM_LIMIT,
     ConvexSpace,
@@ -16,11 +18,12 @@ from aft.convex import (
     is_convex,
     lift_operator,
 )
+from aft.corpus import random_adf, random_program
 from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms
 from aft.fixpoints import kripke_kleene
-from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
+from aft.lattice import FiniteLattice, Lattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
-from conftest import FIVE_ELEMENT_LATTICES, fs, hull_oracle
+from conftest import FIVE_ELEMENT_LATTICES, convex_kk_oracle, fs, hull_oracle
 
 
 def join_a(diamond):
@@ -139,18 +142,49 @@ def powersets_with_members(draw):
 
 
 @given(powersets_with_members())
+@example((PowersetLattice(()), frozenset()))
 @example((PowersetLattice(range(8)), frozenset()))
 @example((PowersetLattice(range(8)), frozenset({fs(1, 4)})))
 @example((PowersetLattice(range(8)), frozenset({fs(), fs(*range(8))})))
 def test_powerset_hull_over_bitmasks_equals_the_oracle(case):
     lat, members = case
-    assert hull(lat, members) == hull_oracle(lat, members)
+    expected = hull_oracle(lat, members)
+    assert hull(lat, members) == expected
+    # the cover walk of the base class, and the shift closure of a bitset
+    # over the whole universe, as convex_kripke_kleene runs it
+    assert Lattice.hull(lat, members) == expected
+    codec = lat._codec
+    closed = codec.close(sum(1 << codec.mask(x) for x in members))
+    assert frozenset(select(lat._all_subsets, closed)) == expected
 
 
 @pytest.mark.parametrize("foreign", [fs(3), fs(0, "x"), {0}, "0"], ids=repr)
 def test_powerset_hull_rejects_a_foreign_member(foreign):
     with pytest.raises(ForeignElement):
         hull(PowersetLattice(range(3)), [fs(0), foreign])
+
+
+class TestImageMasks:
+    @pytest.mark.parametrize(
+        "frontend, text",
+        [
+            ("lp", "a :- a.\nb :- not a, b.\n"),
+            ("lp", "a.\nb :- a.\nc.\nd :- not c.\n"),
+            ("lp", "a :- b, not c.\nd :- not e.\n"),
+            ("lp", ""),
+            ("adf", "s(a). s(b). s(c).\nac(a, true). ac(b, false). ac(c, or(a, neg(b))).\n"),
+            ("adf", "s(a). s(b).\nac(a, and(a, neg(b))). ac(b, or(b, true)).\n"),
+        ],
+        ids=["self-loops", "facts", "atoms-heading-no-rule", "empty", "true-false", "self-reference"],
+    )
+    def test_every_mask_has_the_image_of_its_element(self, frontend, text):
+        if frontend == "lp":
+            op = tp(parse_program(text))
+        else:
+            op = classical_operator(parse_adf(text))
+        deps, codec, elements = op.dependencies, op.lattice._codec, op.lattice._all_subsets
+        assert [codec.mask(x) for x in elements] == list(range(len(elements)))
+        assert deps.image_masks() == [codec.mask(deps.image(z)) for z in elements]
 
 
 class TestEmbedInterval:
@@ -260,6 +294,27 @@ class TestConvexKripkeKleene:
         assert time.process_time() - start < 0.05
         assert (exc.value.count, exc.value.limit) == (CONVEX_ATOM_LIMIT + 1, CONVEX_ATOM_LIMIT)
         assert "convex-kk" in str(exc.value)
+
+
+def seeded_operator(kind, seed, n):
+    """The consequence operator of a seeded program of n atoms, the classical
+    operator of a seeded framework of n statements, or the program's
+    operator tabulated as a plain mapping, which carries no dependencies."""
+    rng = random.Random(seed)
+    if kind == "framework":
+        return classical_operator(random_adf(rng, n))
+    op = tp(random_program(rng, n))
+    if kind == "program":
+        return op
+    return LatticeOperator(op.lattice, {x: op(x) for x in op.lattice.elements}, name="table")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["program", "framework", "mapping"]), st.integers(0, 2**32 - 1), st.integers(0, 9))
+def test_convex_kk_equals_the_frozenset_oracle(kind, seed, n):
+    op = seeded_operator(kind, seed, n)
+    assert (kind == "mapping") == (op.dependencies is None)
+    assert convex_kripke_kleene(op) == convex_kk_oracle(op)
 
 
 class TestConvexSpace:
