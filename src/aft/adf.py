@@ -37,6 +37,7 @@ negations of its attackers; see ``attack_network``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -262,39 +263,21 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
     )
 
 
-def _conjunction(parts: list[Formula]) -> Formula:
-    if not parts:
-        return Const(True)
-    out = parts[0]
-    for part in parts[1:]:
-        out = And(out, part)
-    return out
-
-
-def _disjunction(parts: list[Formula]) -> Formula:
-    if not parts:
-        return Const(False)
-    out = parts[0]
-    for part in parts[1:]:
-        out = Or(out, part)
-    return out
+def _fold(connective: type, parts: list[Formula]) -> Formula:
+    """The parts joined by ``connective``, And or Or, nested to the left;
+    with no parts, its unit: true for And, false for Or."""
+    return functools.reduce(connective, parts) if parts else Const(connective is And)
 
 
 def program_to_adf(program: LogicProgram) -> Adf:
     """Encode a normal program: one statement per atom, whose condition is
-    the disjunction over its rules of the conjunction of body literals.
-    An atom without rules gets the condition false."""
-    conditions = {}
-    for atom in program.atoms:
-        bodies = [
-            _conjunction(
-                [Var(b) for b in sorted(r.pos)] + [Not(Var(b)) for b in sorted(r.neg)]
-            )
-            for r in program.rules
-            if r.head == atom
-        ]
-        conditions[atom] = _disjunction(bodies)
-    return Adf(program.atoms, conditions)
+    the disjunction over its rules, in program order, of the conjunction of
+    body literals. An atom without rules gets the condition false."""
+    bodies = {atom: [] for atom in program.atoms}
+    for r in program.rules:
+        literals = [Var(b) for b in sorted(r.pos)] + [Not(Var(b)) for b in sorted(r.neg)]
+        bodies[r.head].append(_fold(And, literals))
+    return Adf(program.atoms, {atom: _fold(Or, parts) for atom, parts in bodies.items()})
 
 
 def attack_network(arguments: Iterable[str], attacks: Iterable[tuple[str, str]]) -> Adf:
@@ -305,6 +288,6 @@ def attack_network(arguments: Iterable[str], attacks: Iterable[tuple[str, str]])
     for source, target in attacks:
         attackers[target].append(source)
     conditions = {
-        a: _conjunction([Not(Var(b)) for b in sorted(attackers[a])]) for a in args
+        a: _fold(And, [Not(Var(b)) for b in sorted(attackers[a])]) for a in args
     }
     return Adf(args, conditions)

@@ -32,10 +32,10 @@ from .lattice import SCAN_ATOM_LIMIT, Element, Lattice, LatticeOperator, LawChec
 RawPair = tuple[Element, Element]
 
 # The exhaustive law checks (precision-monotonicity, symmetry, fixpoints_of)
-# enumerate and memoize all 4**|U| pairs, so their cost grows fivefold per
-# atom: `aft check lp` on a negation chain takes 1.6 s and 90 MB at 8 atoms
-# and 8.7 s and 360 MB at 9. They refuse larger lattices.
-LAW_ATOM_LIMIT = 8
+# enumerate and memoize all 4**|U| pairs, the scan limit's 2**16 items at
+# half as many atoms: `aft check lp` on a negation chain takes 1.6 s and
+# 90 MB at 8 atoms and 8.7 s and 360 MB at 9. They refuse larger lattices.
+LAW_ATOM_LIMIT = SCAN_ATOM_LIMIT // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +209,13 @@ def is_precision_monotone(a: Approximator) -> LawCheck:
 
 def brackets_operator(a: Approximator) -> LawCheck:
     """Weak bracketing: on every exact pair the approximator's output
-    interval contains the value of its attached operator."""
+    interval contains the value of its attached operator. Lattices of more
+    than 2**SCAN_ATOM_LIMIT elements are refused with TooManyAtoms."""
     op = a.operator
     if op is None:
         raise ValueError("no base operator attached")
     lat = a.lattice
+    check_atoms(lat, SCAN_ATOM_LIMIT, "bracketing check")
     for x in lat.elements:
         out_lo, out_hi = a.apply(x, x)
         ox = op(x)
@@ -241,10 +243,12 @@ def verify_approximator(a: Approximator) -> Approximator:
 
 def is_exact_approximator(a: Approximator) -> LawCheck:
     """Stricter bracketing: on every exact pair the approximator returns
-    exactly its attached operator's value, doubled."""
+    exactly its attached operator's value, doubled; refused like
+    ``brackets_operator`` above 2**SCAN_ATOM_LIMIT elements."""
     op = a.operator
     if op is None:
         raise ValueError("no base operator attached")
+    check_atoms(a.lattice, SCAN_ATOM_LIMIT, "exactness check")
     for x in a.lattice.elements:
         ox = op(x)
         if a.apply(x, x) != (ox, ox):

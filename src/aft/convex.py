@@ -26,6 +26,7 @@ from .approx import ApproxPair
 from .errors import InconsistentPair
 from .bitmask import select
 from .lattice import (
+    SCAN_ATOM_LIMIT,
     FiniteLattice,
     Lattice,
     LatticeOperator,
@@ -36,15 +37,6 @@ from .lattice import (
 )
 
 ConvexSet = frozenset
-
-# convex_kripke_kleene starts from the set of all elements. On a powerset it
-# holds each iterate as a bitset over the 2**|U| masks: the image mask of
-# every mask is computed once (2**|U| masks, each re-deciding the children of
-# one atom), and a step ORs the members' image masks and closes the bitset
-# by 2 * |U| shifts of a 2**|U|-bit int, so the cost grows as 2**|U|; it
-# refuses powersets of more atoms than this
-CONVEX_ATOM_LIMIT = 12
-
 
 def is_convex(lattice: Lattice, members: Iterable) -> LawCheck:
     """Exhaustive hole check; a failing witness is (x, y, z) with x, z inside
@@ -100,11 +92,12 @@ def convex_kripke_kleene(op: LatticeOperator) -> tuple[ConvexSet, list[ConvexSet
     (``Codec.close``); each iterate turns back into frozensets once. Other
     lattices iterate ``lift_operator`` on frozensets.
 
-    Lattices of more than 2**CONVEX_ATOM_LIMIT elements are refused with
-    TooManyAtoms, counting ceil(log2(size)) atoms.
+    Either way it computes the image of every element, so lattices of more
+    than 2**SCAN_ATOM_LIMIT elements are refused with TooManyAtoms,
+    counting ceil(log2(size)) atoms.
     """
     lattice = op.lattice
-    check_atoms(lattice, CONVEX_ATOM_LIMIT, "convex-kk")
+    check_atoms(lattice, SCAN_ATOM_LIMIT, "convex-kk")
     bound, what = lattice.size + 2, f"convex iteration of {op.name}"
     if not isinstance(lattice, PowersetLattice):
         trace = iterate(lift_operator(op), frozenset(lattice.elements), bound, what)

@@ -29,21 +29,23 @@ from .errors import (
 
 Element = Hashable
 
-# Exhaustive monotonicity re-checks are quadratic in the lattice; above this
-# size they are skipped unless explicitly requested.
+# lfp checks its operator for monotonicity, one comparison along each cover of
+# each element (0.07 s at 4,096 elements), on lattices of at most this many
+# elements; on larger ones it relies on its step bound and revisit check.
 VALIDATION_LIMIT = 4096
 
-# The partial stable scan visits each element between the well-founded bounds
-# (0.6 s at 16 unknown atoms). The supported and stable searches branch on
-# the atoms the Kripke-Kleene or well-founded pair leaves unknown;
-# propagation usually prunes most branches, but where it narrows nothing they
-# evaluate a whole binary tree (3.5 s for 2**16 supported models). The
-# ultimate approximator of an operator that carries its dependencies decides
-# each atom on the assignments to its parents a pair leaves open, up to
-# 2**k condition evaluations for k parents; of any other operator it
-# evaluates every element of an interval (2 s at 16 atoms). So the scan and
-# searches refuse more than this many unknown atoms, ultimate an atom with
-# more parents than this, or else a universe of more atoms.
+# Every exhaustive construction enumerates at most 2**SCAN_ATOM_LIMIT items:
+# elements, pairs or assignments to an atom's parents. The partial stable scan
+# visits each element between the well-founded bounds (0.6 s at 16 unknown
+# atoms). The supported and stable searches, where propagation narrows
+# nothing, evaluate a whole binary tree over the atoms the Kripke-Kleene or
+# well-founded pair leaves unknown (3.5 s for 2**16 supported models).
+# Ultimate decides each atom on up to 2**k assignments to its k parents, or,
+# for an operator without dependencies, evaluates a whole interval (2 s at
+# 16 atoms); convex-kk takes the image of every element (0.29-0.37 s at 16
+# atoms). So the scans refuse more unknown atoms than this, ultimate an atom
+# with more parents, and the rest a universe of more atoms; the pair law
+# checks, with 4**|U| pairs, half as many (LAW_ATOM_LIMIT).
 SCAN_ATOM_LIMIT = 16
 
 
@@ -404,8 +406,12 @@ class PowersetLattice(Lattice):
 
     def hull(self, members) -> frozenset:
         """Smallest convex superset, a bitset of the members' masks closed
-        by shifts (``Codec.hull``)."""
-        return Codec.hull(self.check_element(x) for x in members)
+        by shifts (``Codec.hull``). Members that leave more than
+        SCAN_ATOM_LIMIT atoms free, in their join but not in their meet,
+        are refused with TooManyAtoms."""
+        members = [self.check_element(x) for x in members]
+        check_atoms(self, SCAN_ATOM_LIMIT, "hull", (self.glb(members), self.lub(members)))
+        return Codec.hull(members)
 
     @cached_property
     def _codec(self) -> Codec:
@@ -497,9 +503,11 @@ def is_monotone(op: LatticeOperator) -> LawCheck:
 
     It suffices to compare along covering pairs: any x <= y decomposes into
     a chain of covers, and the pointwise comparisons compose transitively.
-    A failing witness is such a covering pair.
+    A failing witness is such a covering pair. Lattices of more than
+    2**SCAN_ATOM_LIMIT elements are refused with TooManyAtoms.
     """
     lat = op.lattice
+    check_atoms(lat, SCAN_ATOM_LIMIT, "monotonicity check")
     for x in lat.elements:
         ox = op(x)
         for y in lat.up_covers(x):
@@ -528,19 +536,18 @@ def iterate(step: Callable[[Element], Element], start: Element, bound: int, what
     raise DivergenceGuard(what, bound)
 
 
-def lfp(op: LatticeOperator, *, validate: bool | None = None) -> Element:
+def lfp(op: LatticeOperator) -> Element:
     """Least fixpoint of a monotone operator by Kleene iteration from bottom.
 
-    ``validate`` defaults to an exhaustive monotonicity check on lattices of
-    at most VALIDATION_LIMIT elements. A monotone operator climbs a strictly
+    On lattices of at most VALIDATION_LIMIT elements the operator is first
+    checked for monotonicity (``is_monotone``), raising NonMonotoneOperator
+    with a covering pair as witness. A monotone operator climbs a strictly
     increasing chain from bottom, so the iteration is bounded by the lattice
-    height; exceeding the bound, or revisiting an element, means the operator
-    is broken.
+    height; exceeding the bound, or revisiting an element, raises
+    DivergenceGuard.
     """
     lat = op.lattice
-    if validate is None:
-        validate = lat.size <= VALIDATION_LIMIT
-    if validate:
+    if lat.size <= VALIDATION_LIMIT:
         check = is_monotone(op)
         if not check:
             raise NonMonotoneOperator(check.witness)

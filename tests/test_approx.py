@@ -33,7 +33,13 @@ from aft.errors import (
 from aft.fixpoints import fixpoints_of
 from aft.corpus import random_adf, random_program
 from aft.fixpoints import kripke_kleene, well_founded
-from aft.lattice import FiniteLattice, LatticeOperator, PowersetLattice
+from aft.lattice import (
+    SCAN_ATOM_LIMIT,
+    FiniteLattice,
+    LatticeOperator,
+    PowersetLattice,
+    is_monotone,
+)
 from aft.lp import fitting, parse_program, program_lattice, tp
 from conftest import fs, ultimate_oracle
 
@@ -165,18 +171,38 @@ class TestVerifyApproximator:
         assert exc.value.witness == fs()
 
     @pytest.mark.parametrize(
-        "law_check",
-        [verify_approximator, is_precision_monotone, is_symmetric, fixpoints_of, Approximator.domain],
-        ids=["verify", "precision-monotone", "symmetric", "fixpoints_of", "domain"],
+        "law_check,limit,what",
+        [
+            (verify_approximator, LAW_ATOM_LIMIT, "law check"),
+            (is_precision_monotone, LAW_ATOM_LIMIT, "law check"),
+            (is_symmetric, LAW_ATOM_LIMIT, "law check"),
+            (fixpoints_of, LAW_ATOM_LIMIT, "law check"),
+            (Approximator.domain, LAW_ATOM_LIMIT, "law check"),
+            (brackets_operator, SCAN_ATOM_LIMIT, "bracketing check"),
+            (is_exact_approximator, SCAN_ATOM_LIMIT, "exactness check"),
+            (lambda a: is_monotone(a.operator), SCAN_ATOM_LIMIT, "monotonicity check"),
+        ],
+        ids=[
+            "verify",
+            "precision-monotone",
+            "symmetric",
+            "fixpoints_of",
+            "domain",
+            "brackets",
+            "exact",
+            "monotone",
+        ],
     )
-    def test_law_checks_refuse_above_the_limit(self, law_check):
-        atoms = LAW_ATOM_LIMIT + 1
+    def test_law_checks_refuse_above_the_limit(self, law_check, limit, what):
+        # the pair checks enumerate 4**|U| pairs, the element checks 2**|U|
+        # elements: both 2**16 at their limits
+        atoms = limit + 1
         a = fitting(parse_program("\n".join(f"a{i} :- not a{i + 1}." for i in range(atoms - 1))))
         start = time.process_time()
-        with pytest.raises(TooManyAtoms, match="9 atoms exceed the law check limit of 8"):
+        with pytest.raises(TooManyAtoms, match=f"{atoms} atoms exceed the {what} limit of {limit}"):
             law_check(a)
         assert time.process_time() - start < 1.0
-        assert a._memo == {}
+        assert a._memo == {} and a.operator._memo == {}
 
     def test_law_limit_admits_its_own_size(self):
         lat = PowersetLattice(f"a{i}" for i in range(LAW_ATOM_LIMIT))

@@ -62,10 +62,10 @@ class TestRun:
         assert "line 1" in err
 
     def test_convex_kk_beyond_its_atom_limit_exits_1(self, tmp_path, capsys):
-        path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(12)))
+        path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(16)))
         code, out, err = run(capsys, "lp", path, "--semantics", "convex-kk")
         assert code == 1 and out == ""
-        assert err == "error: 13 atoms exceed the convex-kk limit of 12\n"
+        assert err == "error: 17 atoms exceed the convex-kk limit of 16\n"
 
     @pytest.mark.parametrize(
         "semantics,what",

@@ -10,7 +10,6 @@ from aft.adf import classical_operator, parse_adf
 from aft.approx import ApproxPair, precision_leq, ultimate
 from aft.bitmask import select
 from aft.convex import (
-    CONVEX_ATOM_LIMIT,
     ConvexSpace,
     convex_kripke_kleene,
     embed_interval,
@@ -21,7 +20,7 @@ from aft.convex import (
 from aft.corpus import random_adf, random_program
 from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms
 from aft.fixpoints import kripke_kleene
-from aft.lattice import FiniteLattice, Lattice, LatticeOperator, PowersetLattice
+from aft.lattice import SCAN_ATOM_LIMIT, FiniteLattice, Lattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
 from conftest import FIVE_ELEMENT_LATTICES, convex_kk_oracle, fs, hull_oracle
 
@@ -164,6 +163,16 @@ def test_powerset_hull_rejects_a_foreign_member(foreign):
         hull(PowersetLattice(range(3)), [fs(0), foreign])
 
 
+def test_powerset_hull_refuses_a_wide_spread():
+    # the limit counts the atoms the members leave free, not the universe's
+    lat = PowersetLattice(range(40))
+    assert hull(lat, [fs(*range(30)), fs(*range(31))]) == {fs(*range(30)), fs(*range(31))}
+    start = time.process_time()
+    with pytest.raises(TooManyAtoms, match="17 atoms exceed the hull limit of 16"):
+        hull(lat, [fs(), fs(*range(17))])
+    assert time.process_time() - start < 0.05
+
+
 class TestImageMasks:
     @pytest.mark.parametrize(
         "frontend, text",
@@ -284,16 +293,26 @@ class TestConvexKripkeKleene:
             kk_ult, _ = kripke_kleene(ultimate(op))
             assert convex <= embed_interval(kk_ult)
 
+    def test_answers_universes_at_the_atom_limit(self):
+        # 16 atoms: the chain keeps its one model, the even cycle all 2**16
+        # elements, the image of the full set being the full set
+        n = SCAN_ATOM_LIMIT
+        chain = parse_program("\n".join(f"a{i} :- not a{i + 1}." for i in range(n - 1)))
+        got, _ = convex_kripke_kleene(tp(chain))
+        assert got == {frozenset(f"a{i}" for i in range(0, n, 2))}
+        cycle = parse_program("\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n)))
+        got, trace = convex_kripke_kleene(tp(cycle))
+        assert len(got) == 2**n and trace == [got]
+
     def test_refuses_universes_beyond_the_atom_limit(self):
-        chain = "\n".join(f"a{i} :- not a{i + 1}." for i in range(CONVEX_ATOM_LIMIT))
+        chain = "\n".join(f"a{i} :- not a{i + 1}." for i in range(SCAN_ATOM_LIMIT))
         prog = parse_program(chain)
         lat = program_lattice(prog)
         start = time.process_time()
-        with pytest.raises(TooManyAtoms) as exc:
+        with pytest.raises(TooManyAtoms, match="17 atoms exceed the convex-kk limit of 16") as exc:
             convex_kripke_kleene(tp(prog, lat))
         assert time.process_time() - start < 0.05
-        assert (exc.value.count, exc.value.limit) == (CONVEX_ATOM_LIMIT + 1, CONVEX_ATOM_LIMIT)
-        assert "convex-kk" in str(exc.value)
+        assert (exc.value.count, exc.value.limit) == (SCAN_ATOM_LIMIT + 1, SCAN_ATOM_LIMIT)
 
 
 def seeded_operator(kind, seed, n):

@@ -12,6 +12,7 @@ from aft.errors import (
     NotAPartialOrder,
 )
 from aft.lattice import (
+    VALIDATION_LIMIT,
     FiniteLattice,
     Lattice,
     LatticeOperator,
@@ -252,14 +253,18 @@ class TestLfp:
     def test_validation_catches_non_monotone(self):
         lat = PowersetLattice({"p"})
         table = {fs(): fs("p"), fs("p"): fs()}
-        with pytest.raises(NonMonotoneOperator):
+        with pytest.raises(NonMonotoneOperator) as exc:
             lfp(LatticeOperator(lat, table))
+        assert exc.value.witness == (fs(), fs("p"))
 
     def test_divergence_guard_without_validation(self):
-        lat = PowersetLattice({"p"})
-        table = {fs(): fs("p"), fs("p"): fs()}
-        with pytest.raises(DivergenceGuard):
-            lfp(LatticeOperator(lat, table), validate=False)
+        # above VALIDATION_LIMIT elements lfp checks nothing first, and the
+        # complement swaps bottom and top until the iteration revisits one
+        lat = PowersetLattice(f"a{i}" for i in range(13))
+        assert lat.size > VALIDATION_LIMIT
+        with pytest.raises(DivergenceGuard) as exc:
+            lfp(LatticeOperator(lat, lambda x: lat.top - x, name="complement"))
+        assert exc.value.cycle == (lat.bottom, lat.top)
 
     def test_iteration_sequence_is_increasing(self, definite):
         lat = program_lattice(definite)
