@@ -127,7 +127,7 @@ def _pair_json(pair, atoms) -> dict:
 
 
 def _sets_json(sets) -> list:
-    return sorted((sorted(m) for m in sets), key=tuple)
+    return sorted(sorted(m) for m in sets)
 
 
 def _json_entry(kind: str, value, trace, atoms):
@@ -168,6 +168,62 @@ def _text_lines(kind: str, entry) -> tuple[str, list[str]]:
     return _sets_text(entry["members"]), [_sets_text(s) for s in entry.get("trace", ())]
 
 
+class _Quoted(dict):
+    # the JSON form of each string, encoded once per document
+    def __missing__(self, s: str) -> str:
+        self[s] = quoted = json.encoder.encode_basestring_ascii(s)
+        return quoted
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` for a document of dicts with string keys,
+    lists, strings, bools, None and numbers. With an indent the standard
+    library leaves its C encoder. This writer quotes each distinct string
+    once, joins a list of strings, mostly atom names, in one call, and joins
+    the pieces once at the end, so no container's text is copied into its
+    parent's."""
+    pieces: list[str] = []
+    _write_json(doc, "", _Quoted(), pieces.append)
+    return "".join(pieces)
+
+
+def _write_json(value, pad: str, quoted: _Quoted, put) -> None:
+    # a module function rather than a closure: a closure that calls itself is
+    # a reference cycle, which would hold each document's pieces until the
+    # next cyclic collection
+    if isinstance(value, str):
+        put(quoted[value])
+        return
+    if not isinstance(value, (dict, list)):
+        put(json.dumps(value))
+        return
+    if not value:
+        put("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        lead = "{\n" + inner
+        for k, v in value.items():
+            put(lead + quoted[k] + ": ")
+            _write_json(v, inner, quoted, put)
+            lead = sep
+        put("\n" + pad + "}")
+        return
+    if isinstance(value[0], str):
+        try:
+            put("[\n" + inner + sep.join(map(quoted.__getitem__, value)) + "\n" + pad + "]")
+            return
+        except TypeError:  # strings mixed with other values
+            pass
+    lead = "[\n" + inner
+    for v in value:
+        put(lead)
+        _write_json(v, inner, quoted, put)
+        lead = sep
+    put("\n" + pad + "]")
+
+
 # -- run ---------------------------------------------------------------------
 
 
@@ -187,7 +243,7 @@ def _cmd_run(args) -> int:
     del approximator, value, trace
 
     if args.fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return 0
     for name in names:
         result, steps = _text_lines(SEMANTICS[name][0], doc[name])
@@ -285,7 +341,7 @@ def _cmd_check(args) -> int:
                 for law, c in checks
             ],
         }
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         for law, c in checks:
             if c is None:
@@ -340,7 +396,7 @@ def _cmd_compare(args) -> int:
                     "convex_over_ultimate_interval": cvx_gains,
                 },
             }
-            print(json.dumps(doc, indent=2))
+            print(_json_text(doc))
         else:
             print(f"programs: {len(programs)} (seed {args.seed})")
             print(f"ultimate-kk strictly more precise than fitting-kk: {ult_gains}")
@@ -357,7 +413,7 @@ def _cmd_compare(args) -> int:
         doc[label] = _json_entry(SEMANTICS[name][0], value, None, atoms)
     doc["comparison"] = comparison
     if args.fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return 0
     for label, name in _COMPARED:
         print(f"{label}: {_text_lines(SEMANTICS[name][0], doc[label])[0]}")

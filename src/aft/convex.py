@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .approx import ApproxPair
-from .errors import InconsistentPair
+from .errors import InconsistentPair, TooManyElements
 from .bitmask import select
 from .lattice import (
     SCAN_ATOM_LIMIT,
@@ -118,8 +118,9 @@ class ConvexSpace:
     """All convex subsets of a base lattice under the precision order.
 
     A complete lattice: the precision join of a family is its intersection,
-    the precision meet the hull of its union. Enumerating the elements is
-    exponential in the base; intended for tiny bases and law checks.
+    the precision meet the hull of its union. Enumerating the elements tests
+    every subset of the base, so a base of more than SCAN_ATOM_LIMIT elements
+    is refused with TooManyElements; intended for tiny bases and law checks.
     """
 
     def __init__(self, base: Lattice):
@@ -127,6 +128,8 @@ class ConvexSpace:
 
     @cached_property
     def elements(self) -> frozenset:
+        if self.base.size > SCAN_ATOM_LIMIT:
+            raise TooManyElements(self.base.size, SCAN_ATOM_LIMIT, "convex space")
         out = []
         members = sorted(self.base.elements, key=repr)
         subsets = [frozenset()]

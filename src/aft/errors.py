@@ -136,9 +136,18 @@ class TooManyAtoms(AftError):
     ``what`` names the construction, and ``witness``, when set, the atom
     whose parents it would have to enumerate."""
 
+    counted = "atoms"
+
     def __init__(self, count: int, limit: int, what: str, witness=None):
         self.count = count
         self.limit = limit
         self.what = what
         self.witness = witness
-        super().__init__(f"{count} atoms exceed the {what} limit of {limit}")
+        super().__init__(f"{count} {self.counted} exceed the {what} limit of {limit}")
+
+
+class TooManyElements(TooManyAtoms):
+    """A construction over the subsets of a lattice's elements refuses a
+    lattice with more elements than it can enumerate the subsets of."""
+
+    counted = "elements"

@@ -45,7 +45,9 @@ VALIDATION_LIMIT = 4096
 # 16 atoms); convex-kk takes the image of every element (0.29-0.37 s at 16
 # atoms). So the scans refuse more unknown atoms than this, ultimate an atom
 # with more parents, and the rest a universe of more atoms; the pair law
-# checks, with 4**|U| pairs, half as many (LAW_ATOM_LIMIT).
+# checks, with 4**|U| pairs, half as many (LAW_ATOM_LIMIT). ConvexSpace tests
+# every subset of its base lattice's elements, so it refuses a base of more
+# elements.
 SCAN_ATOM_LIMIT = 16
 
 

@@ -7,10 +7,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aft
 from aft.adf import Adf
-from aft.cli import build_parser, main
+from aft.cli import _json_text, build_parser, main
 from aft.corpus import random_formula
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lp import fitting, parse_program
@@ -20,6 +22,16 @@ SELF_ATTACK = "s(a). ac(a, neg(a)).\n"
 SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(17))
 CHAIN = "\n".join(f"a{i} :- not a{i + 1}." for i in range(16))
 WIDE = "a :- " + ", ".join(f"not b{i}" for i in range(17)) + "."
+# an approximator on one atom that swaps the bounds: not precision-monotone
+SWAP_TABLE = {
+    "universe": ["p"],
+    "pairs": [
+        {"in": [[], []], "out": [[], []]},
+        {"in": [["p"], []], "out": [[], ["p"]]},
+        {"in": [[], ["p"]], "out": [["p"], []]},
+        {"in": [["p"], ["p"]], "out": [["p"], ["p"]]},
+    ],
+}
 
 
 def write(tmp_path, name, text):
@@ -386,6 +398,58 @@ class TestPinnedOutput:
         assert out == json.dumps(doc, indent=2) + "\n"
 
 
+# strings that JSON escapes: quotes, backslashes, control characters and
+# text outside ASCII
+ESCAPED = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001f600'))
+STRINGS = ESCAPED | st.text()
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | STRINGS,
+    lambda inner: st.lists(inner) | st.lists(STRINGS) | st.dictionaries(STRINGS, inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENTS)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}], "d": [True, None, 0, -1]})
+@example(["a", 1])
+@example(["a", ["b"], {"c": "d"}])
+@example([1, "a"])
+def test_json_writer_equals_the_standard_encoder(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+# every --format json path, the files named by their kind
+JSON_PATHS = [
+    ["lp", "{lp}", "--semantics", "all"],
+    ["lp", "{lp}", "--semantics", "all", "--trace"],
+    ["adf", "{adf}", "--semantics", "all"],
+    ["adf", "{adf}", "--semantics", "all", "--trace"],
+    ["check", "lp", "{lp}"],
+    ["check", "adf", "{adf}"],
+    ["check", "tab", "{tab}"],
+    ["compare", "{lp}"],
+    ["compare", "--corpus", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_PATHS, ids=" ".join)
+def test_json_output_is_the_standard_encoding(tmp_path, capsys, argv):
+    files = {
+        "lp": write(tmp_path, "sep.lp", SEPARATOR),
+        "adf": write(tmp_path, "abc.adf", ABC_ADF),
+        "tab": write(tmp_path, "swap.json", json.dumps(SWAP_TABLE)),
+    }
+    code, out, _ = run(capsys, *(a.format(**files) for a in argv), "--format", "json")
+    # the swap table fails a law, and its witness is printed
+    assert code == (2 if "{tab}" in argv else 0)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if "{tab}" in argv:
+        assert json.loads(out)["checks"][0]["witness"] is not None
+
+
 def test_import_leaves_graph_library_unloaded():
     probe = "import sys, aft.cli; print('networkx' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aft.__file__)))
@@ -414,17 +478,7 @@ class TestCheck:
         assert code == 0
 
     def test_broken_tabulated_approximator_fails_with_witness(self, tmp_path, capsys):
-        # the swap map is not precision-monotone
-        table = {
-            "universe": ["p"],
-            "pairs": [
-                {"in": [[], []], "out": [[], []]},
-                {"in": [["p"], []], "out": [[], ["p"]]},
-                {"in": [[], ["p"]], "out": [["p"], []]},
-                {"in": [["p"], ["p"]], "out": [["p"], ["p"]]},
-            ],
-        }
-        path = write(tmp_path, "broken.json", json.dumps(table))
+        path = write(tmp_path, "broken.json", json.dumps(SWAP_TABLE))
         code, out, _ = run(capsys, "check", "tab", path)
         assert code == 2
         assert "precision-monotone: FAIL" in out

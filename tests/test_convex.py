@@ -18,7 +18,7 @@ from aft.convex import (
     lift_operator,
 )
 from aft.corpus import random_adf, random_program
-from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms
+from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms, TooManyElements
 from aft.fixpoints import kripke_kleene
 from aft.lattice import SCAN_ATOM_LIMIT, FiniteLattice, Lattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
@@ -367,3 +367,15 @@ class TestConvexSpace:
         space = ConvexSpace(chain)
         expected = {fs(), fs(0), fs(1), fs(2), fs(0, 1), fs(1, 2), fs(0, 1, 2)}
         assert space.elements == expected
+
+    def test_refuses_bases_beyond_the_element_limit(self):
+        n = SCAN_ATOM_LIMIT + 1
+        chain = FiniteLattice.from_covers(range(n), [(i, i + 1) for i in range(n - 1)])
+        space = ConvexSpace(chain)
+        start = time.process_time()
+        with pytest.raises(TooManyElements, match="17 elements exceed the convex space limit of 16") as exc:
+            space.elements
+        assert time.process_time() - start < 0.05
+        assert (exc.value.count, exc.value.limit) == (n, SCAN_ATOM_LIMIT)
+        with pytest.raises(TooManyAtoms):
+            space.as_lattice()
