@@ -38,6 +38,13 @@ from .lattice import (
 
 ConvexSet = frozenset
 
+# Most convex sets ``ConvexSpace.as_lattice`` builds a lattice over. The
+# build validates every pair of sets, and grows faster than their square:
+# measured, 193 sets took 0.11 s, 236 took 0.26 s, 385 took 0.45 s and 769
+# took 2.9 s. The 3,938 sets of a 16-element powerset are refused.
+CONVEX_LATTICE_LIMIT = 256
+
+
 def is_convex(lattice: Lattice, members: Iterable) -> LawCheck:
     """Exhaustive hole check; a failing witness is (x, y, z) with x, z inside
     and y strictly between them outside."""
@@ -165,6 +172,9 @@ class ConvexSpace:
 
     def as_lattice(self) -> FiniteLattice:
         """The space as an explicit lattice in the precision order, for
-        exhaustive law checking."""
+        exhaustive law checking. A space of more than CONVEX_LATTICE_LIMIT
+        sets is refused with TooManyElements before any pair is built."""
         elems = self.elements
+        if len(elems) > CONVEX_LATTICE_LIMIT:
+            raise TooManyElements(len(elems), CONVEX_LATTICE_LIMIT, "convex space lattice")
         return FiniteLattice(elems, [(s, t) for s in elems for t in elems if s >= t])

@@ -10,12 +10,16 @@ Grammar (files are UTF-8, ``%`` comments to end of line, whitespace free):
 the set of atoms occurring in it, heads and bodies alike; atoms that occur
 only in bodies still enter the universe (they must be expressible as false).
 
+Well-formed text is parsed by a few regular-expression passes; any other
+text goes to a token parser, which reports the first error's position.
+
 The module provides the two-valued one-step consequence operator, its
 four-valued bracketing approximator evaluated on all pairs by the same
 formulas, and an independent brute-force stable-model oracle via the
 classical reduct. The approximator is built from one lower step, and
 carries that step's least fixpoint, the least model of the reduct, as its
-``revision`` hook.
+``revision`` hook; each least model grows from one the hook computed
+before, at a set that contains the new one.
 """
 
 from __future__ import annotations
@@ -130,8 +134,45 @@ class _Parser:
         return value
 
 
+# The grammar as regular expressions, for well-formed text. Whitespace and
+# names are spelt as the tokenizer spells them: \s and \w would admit
+# Unicode that it rejects. No two whitespace repeats are adjacent: on text
+# that fails, the matcher would try every split of a run between them,
+# quadratic in its length.
+_WS = r"[ \t\r\n]"
+_NAME = r"[a-z][a-zA-Z0-9_]*"
+_LITERAL = rf"(?:not{_WS}+)?{_NAME}"
+_RULE = rf"({_NAME}){_WS}*(?::-{_WS}*({_LITERAL}(?:{_WS}*,{_WS}*{_LITERAL})*){_WS}*)?\."
+_COMMENTS = re.compile(r"%[^\n]*")
+_PROGRAM = re.compile(rf"{_WS}*(?:{_RULE}{_WS}*)*")
+_RULES = re.compile(_RULE)
+_LITERALS = re.compile(rf"(not{_WS}+)?({_NAME})")
+
+
 def parse_program(text: str) -> LogicProgram:
-    """Parse program text; raises ParseError with a 1-based position."""
+    """Parse program text; raises ParseError with a 1-based position.
+
+    Well-formed text is read with regular expressions: comments blanked,
+    the whole text matched once against the grammar, then the rules and
+    each body's literals extracted. Text that does not match, or that names
+    an atom ``not``, goes to the token parser, which alone reports errors.
+    """
+    source = _COMMENTS.sub(" ", text) if "%" in text else text
+    if _PROGRAM.fullmatch(source):
+        rules = []
+        for head, body in _RULES.findall(source):
+            pos, neg = [], []
+            for negated, atom in _LITERALS.findall(body):
+                (neg if negated else pos).append(atom)
+            rules.append(Rule(head, frozenset(pos), frozenset(neg)))
+        program = LogicProgram(rules)
+        if "not" not in program.atoms:
+            return program
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> LogicProgram:
+    """``parse_program`` token by token, with the first error's position."""
     p = _Parser(text)
     rules = []
     while p.peek()[0] != "eof":
@@ -189,22 +230,20 @@ def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> Lattice
 
 
 def _rule_tables(program: LogicProgram):
-    """The rule tables the lower step reads: each rule's head, the size of
-    its positive body and its negative body, and per atom the indices of the
-    rules with it in their positive body and of those with it in their
-    negative body."""
-    heads, sizes, negs = [], [], []
+    """The rule tables the lower step reads: each rule's head and the size
+    of its positive body, and per atom the indices of the rules with it in
+    their positive body and of those with it in their negative body."""
+    heads, sizes = [], []
     pos_watch: dict[str, list[int]] = {}
     neg_watch: dict[str, list[int]] = {}
     for i, r in enumerate(program.rules):
         heads.append(r.head)
         sizes.append(len(r.pos))
-        negs.append(r.neg)
         for b in r.pos:
             pos_watch.setdefault(b, []).append(i)
         for b in r.neg:
             neg_watch.setdefault(b, []).append(i)
-    return heads, sizes, negs, pos_watch, neg_watch
+    return heads, sizes, pos_watch, neg_watch
 
 
 def _changes(new, old):
@@ -219,7 +258,7 @@ def _changes(new, old):
     return (() if len(left) == len(old) - len(new) else new - old), left
 
 
-def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
+def _lower_step(heads, sizes, pos_watch, neg_watch):
     """Fitting's lower step, the heads of the rules whose positive body lies
     in x and whose negative body avoids y, as a function of the atoms that
     entered and left x and y since the previous call, from (empty, empty);
@@ -234,10 +273,18 @@ def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
     did not change is the previous output's object. Its caller keeps the
     pair the counts stand for, and a lock around each call.
 
-    The least fixpoint is Dowling and Gallier's procedure, linear in the
-    program: rules whose negative body meets y are dropped, the others count
-    the atoms of their positive body not yet derived and fire at zero, and
-    each derived atom is propagated once, through the rules that watch it.
+    The least fixpoint is Dowling and Gallier's procedure: every rule counts
+    the atoms of its positive body not yet derived and those of its negative
+    body in y, and fires at zero; each derived atom is propagated once,
+    through the rules that watch it. It grows from a kept state. Of the last
+    two (y, counts, model) it computed, it starts from the one with the
+    smallest y that contains the new y: the reduct by a smaller y keeps more
+    rules, so that state's model lies below the new one. Its counts drop for
+    the rules that watch an atom of the old y outside the new, and only the
+    atoms derived from there on are propagated. With no such state it counts
+    from scratch, linear in the program. In the well-founded iteration the
+    lower revision at hi_{k+1} grows from the state at hi_k, and the upper
+    revision at lo_k from the state at hi_k, since lo_k lies in hi_k.
     """
     blocks = list(sizes)
     fired: dict[str, int] = {}
@@ -293,21 +340,49 @@ def _lower_step(heads, sizes, negs, pos_watch, neg_watch):
             image = frozenset(iter(fired))
         return image
 
+    # the last two states of the least fixpoint, newest first, each
+    # (y, counts, model); a stored state is never changed, so threads that
+    # share the step need no lock here
+    states = ()
+
     def least_fixpoint(y):
-        # a dropped rule starts below zero, so decrements never fire it
-        waiting = [n if neg.isdisjoint(y) else -1 for n, neg in zip(sizes, negs)]
-        agenda = [h for h, n in zip(heads, waiting) if n == 0]
-        model = set()
+        nonlocal states
+        base = None
+        for state in states:
+            if y <= state[0] and (base is None or len(state[0]) < len(base[0])):
+                base = state
+        if base is None:
+            counts = sizes.copy()
+            for a in y:
+                for i in neg_watch.get(a, ()):
+                    counts[i] += 1
+            agenda = [h for h, n in zip(heads, counts) if n == 0]
+            model = set()
+        else:
+            last_y, counts, model = base
+            freed = last_y - y
+            if not freed:
+                return model
+            counts = counts.copy()
+            agenda = []
+            for a in freed:
+                for i in neg_watch.get(a, ()):
+                    counts[i] -= 1
+                    if counts[i] == 0:
+                        agenda.append(heads[i])
+            model = set(model)
         while agenda:
             atom = agenda.pop()
             if atom in model:
                 continue
             model.add(atom)
             for i in pos_watch.get(atom, ()):
-                waiting[i] -= 1
-                if waiting[i] == 0:
+                counts[i] -= 1
+                if counts[i] == 0:
                     agenda.append(heads[i])
-        return frozenset(model)
+        model = frozenset(model)
+        states = ((y, counts, model),) + states[:1]
+        return model
 
     return step, least_fixpoint
 

@@ -10,6 +10,7 @@ from aft.adf import classical_operator, parse_adf
 from aft.approx import ApproxPair, precision_leq, ultimate
 from aft.bitmask import select
 from aft.convex import (
+    CONVEX_LATTICE_LIMIT,
     ConvexSpace,
     convex_kripke_kleene,
     embed_interval,
@@ -379,3 +380,22 @@ class TestConvexSpace:
         assert (exc.value.count, exc.value.limit) == (n, SCAN_ATOM_LIMIT)
         with pytest.raises(TooManyAtoms):
             space.as_lattice()
+
+    def test_lattice_refuses_spaces_beyond_the_set_limit(self):
+        # bottom, k incomparable atoms, top: 3 * 2**k + 1 convex sets, so
+        # 193 at k = 6 and 385 at k = 7, on either side of the limit
+        def atoms_between(k):
+            xs = [f"x{i}" for i in range(k)]
+            return FiniteLattice.from_covers(
+                ["0", *xs, "1"], [("0", x) for x in xs] + [(x, "1") for x in xs]
+            )
+
+        assert len(ConvexSpace(atoms_between(6)).elements) <= CONVEX_LATTICE_LIMIT
+        assert ConvexSpace(atoms_between(6)).as_lattice().top == fs()
+        space = ConvexSpace(atoms_between(7))
+        assert len(space.elements) == 385
+        start = time.process_time()
+        with pytest.raises(TooManyElements, match="385 elements exceed the convex space lattice limit") as exc:
+            space.as_lattice()
+        assert time.process_time() - start < 0.05
+        assert (exc.value.count, exc.value.limit) == (385, CONVEX_LATTICE_LIMIT)

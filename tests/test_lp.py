@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from aft.lattice import PowersetLattice
 from aft.lp import (
     LogicProgram,
     Rule,
+    _definite_lfp,
+    _parse_tokens,
     fitting,
     gl_reduct,
     is_stratified,
@@ -114,6 +117,90 @@ class TestParser:
         for text in ("p :- not q.\nq :- not p.", "p.", "a :- b, c, not d, not e.\nb."):
             prog = parse_program(text)
             assert parse_program(prog.to_text()) == prog
+
+
+# pieces of program text, valid and not: names that look like the keyword,
+# the keyword itself, comments (a stray % among them), every whitespace the
+# grammar admits and some it does not
+PIECES = (
+    ["p", "q", "a1", "nota", "x_Y", "not", "not not", "not "] * 3
+    + [" ", " ", "\n", "\t", "\r\n", "\r", ":-", ":-", ",", ",", ".", "."]
+    + ["% note\n", "%", "\v", "é", "(", "?", ":", "-", "P", "1"]
+)
+
+
+def random_text(rng):
+    """A program whose rules are mostly well formed, with a few random
+    pieces put in or taken out, and sometimes a comment at end of file."""
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        body = [rng.choice(["p", "q", "a1", "nota", "not p", "not\tq", "not nota"])]
+        body += rng.sample(["q", "not a1", "x_Y"], rng.randint(0, 2))
+        sep = rng.choice([", ", ",", " ,\n", ",% c\n"])
+        out.append(rng.choice(["p", "q", "nota"]) + (" :- " + sep.join(body) if rng.random() < 0.8 else "") + ".")
+        out.append(rng.choice(["\n", " ", "\r\n", "\t", "", " % c\n"]))
+    pieces = list("".join(out))
+    for _ in range(rng.choice([0, 0, 1, 2, 4])):
+        at = rng.randint(0, len(pieces))
+        if rng.random() < 0.7 or not pieces:
+            pieces.insert(at, rng.choice(PIECES))
+        else:
+            del pieces[min(at, len(pieces) - 1)]
+    if rng.random() < 0.1:
+        pieces.append("% at end of file")
+    return "".join(pieces)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a :- not.",
+        "p :- not not q.",
+        "p :- nota, not nota.",
+        "not :- p.",
+        "p.% comment at end of file",
+        "p :- q. %",
+        "p :- not%c\nq.",
+        "p :-\tq,\r\nnot r.",
+        "p :- q\v.",
+        "p :- qé.",
+    ],
+)
+def test_regex_parse_equals_the_token_parse_on_examples(text):
+    assert parse_outcome(parse_program, text) == parse_outcome(_parse_tokens, text)
+
+
+def test_regex_parse_equals_the_token_parse_on_random_texts():
+    rng = random.Random(2024)
+    parsed = failed = 0
+    for _ in range(4000):
+        text = random_text(rng)
+        expected = parse_outcome(_parse_tokens, text)
+        assert parse_outcome(parse_program, text) == expected, text
+        if isinstance(expected, LogicProgram):
+            parsed += 1
+        else:
+            failed += 1
+    # both paths are exercised: well-formed texts and every kind of error
+    assert parsed > 1000 and failed > 1000
+
+
+@pytest.mark.parametrize("text", ["p", "p :- q", "p :- q,", "p :-", "p :- not", "p."])
+def test_malformed_text_fails_in_linear_time(text):
+    # a long run of whitespace where the grammar fails next: one way of
+    # matching the run, not one per split of it
+    text += " " * 100_000 + "?"
+    start = time.process_time()
+    with pytest.raises(ParseError):
+        parse_program(text)
+    assert time.process_time() - start < 0.5
 
 
 names = st.sampled_from(["p", "q", "r", "s"])
@@ -252,6 +339,60 @@ def test_step_shared_between_threads_answers_like_the_oracle():
             )
             if step(*pair) != oracle(*pair):
                 wrong.append(pair)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def random_ys(rng, atoms, count):
+    """Sets of atoms to take reduct models at: each shrinks, grows, repeats
+    or replaces the one before."""
+    y = frozenset()
+    for _ in range(count):
+        move = rng.choice(["shrink", "grow", "repeat", "other"])
+        if move == "shrink":
+            y = frozenset(a for a in y if rng.random() < 0.7)
+        elif move == "grow":
+            y = y | frozenset(a for a in atoms if rng.random() < 0.3)
+        elif move == "other":
+            y = frozenset(a for a in atoms if rng.random() < 0.5)
+        yield y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10))
+def test_revision_hook_is_the_least_model_of_the_reduct(seed, n):
+    # the raw hook, past the approximator's cache, so repeated sets reach it
+    rng = random.Random(seed)
+    prog = random_program(rng, n, max_body=3)
+    hook = fitting(prog).revision.__wrapped__
+    for y in random_ys(rng, sorted(prog.atoms), 30):
+        assert hook(y) == _definite_lfp(gl_reduct(prog, y))
+
+
+def test_revision_hook_shared_between_threads_answers_like_the_oracle():
+    # as for the step: threads interleave inside the hook, and each stores
+    # states the others may start from
+    prog = random_program(random.Random(11), 26, max_body=3)
+    atoms = sorted(prog.atoms)
+    hook = fitting(prog).revision.__wrapped__
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for y in random_ys(rng, atoms, 300):
+            if hook(y) != _definite_lfp(gl_reduct(prog, y)):
+                wrong.append(y)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
     interval = sys.getswitchinterval()
