@@ -10,9 +10,15 @@ Every statement must carry exactly one acceptance condition, and conditions
 may only mention declared statements. Conditions are kept as formula trees so
 frameworks print back to their source form.
 
+Well-formed text is read from the list of its words and punctuation, split
+by regular expressions; any other text goes to a token parser, which
+reports the first error's position.
+
 The induced pair-space operator evaluates every condition in strong Kleene
 three-valued logic: the lower step collects statements whose condition is
-true, the upper step those whose condition is not false. The usual
+true, the upper step those whose condition is not false. Each framework's
+conditions are compiled once, into one closure each, which the operator,
+its approximator and their revision hook share. The usual
 semantics names map onto the fixpoint families as: grounded is the
 Kripke-Kleene fixpoint of the ultimate approximator (``ultimate-kk``), of
 which the strong Kleene ``kk`` is an approximation that can be less precise
@@ -38,14 +44,15 @@ negations of its attackers; see ``attack_network``.
 from __future__ import annotations
 
 import functools
+import re
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 from .approx import Approximator, ApproxPair
 from .errors import MissingCondition, UndeclaredStatement
 from .lattice import LatticeOperator, PowersetLattice, iterate, powerset_of
-from .lp import LogicProgram, _Parser
+from .lp import _COMMENTS, LogicProgram, _Parser
 
 
 class Truth(Enum):
@@ -101,23 +108,34 @@ Formula = Const | Var | Not | And | Or
 _KEYWORDS = {"true", "false", "neg", "and", "or"}
 
 
-def _holds(f: Formula, x: frozenset, y: frozenset) -> bool:
-    """Truth-support of a formula at the pair (x, y): a variable is supported
-    when in x. By De Morgan, f is falsity-supported at (x, y) exactly when it
-    is not truth-supported at (y, x), so a negation swaps the bounds. On
-    consistent pairs this is strong Kleene; on inconsistent ones a formula
-    can be supported both ways. Both readings only grow with precision.
+Holds = Callable[[frozenset, frozenset], bool]
+
+
+def _compile(f: Formula) -> Holds:
+    """Truth-support of a formula at the pair (x, y), as a closure: a
+    variable is supported when in x. By De Morgan, f is falsity-supported at
+    (x, y) exactly when it is not truth-supported at (y, x), so a negation
+    swaps the bounds. On consistent pairs this is strong Kleene; on
+    inconsistent ones a formula can be supported both ways. Both readings
+    only grow with precision.
     """
     if isinstance(f, Var):
-        return f.name in x
+        name = f.name
+        return lambda x, y: name in x
     if isinstance(f, Not):
-        return not _holds(f.child, y, x)
-    if isinstance(f, And):
-        return _holds(f.left, x, y) and _holds(f.right, x, y)
-    if isinstance(f, Or):
-        return _holds(f.left, x, y) or _holds(f.right, x, y)
+        if isinstance(f.child, Var):
+            name = f.child.name
+            return lambda x, y: name not in y
+        child = _compile(f.child)
+        return lambda x, y: not child(y, x)
+    if isinstance(f, (And, Or)):
+        left, right = _compile(f.left), _compile(f.right)
+        if isinstance(f, And):
+            return lambda x, y: left(x, y) and right(x, y)
+        return lambda x, y: left(x, y) or right(x, y)
     if isinstance(f, Const):
-        return f.value
+        value = f.value
+        return lambda x, y: value
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -125,9 +143,10 @@ def eval3(formula: Formula, p: ApproxPair) -> Truth:
     """Strong Kleene evaluation against a pair: a variable is true when in
     the lower bound, false when outside the upper bound, unknown otherwise.
     On exact pairs this collapses to classical two-valued evaluation."""
-    if _holds(formula, p.lower, p.upper):
+    holds = _compile(formula)
+    if holds(p.lower, p.upper):
         return Truth.TRUE
-    if not _holds(formula, p.upper, p.lower):
+    if not holds(p.upper, p.lower):
         return Truth.FALSE
     return Truth.UNKNOWN
 
@@ -158,6 +177,11 @@ class Adf:
             undeclared = _formula_vars(cond) - self.statements
             if undeclared:
                 raise UndeclaredStatement(sorted(undeclared)[0])
+
+    @functools.cached_property
+    def _compiled(self) -> dict[str, Holds]:
+        """Each statement's condition, compiled once per framework."""
+        return {s: _compile(cond) for s, cond in self.conditions.items()}
 
     def to_text(self) -> str:
         names = sorted(self.statements)
@@ -200,8 +224,89 @@ def _statement_name(p: _Parser) -> str:
     return value
 
 
+# Well-formed text after its comments are blanked: only whitespace, name
+# characters and punctuation, which split into words and punctuation marks.
+# A single character class cannot backtrack on text that fails; a pattern
+# that alternates names with whitespace could, trying every split of a word.
+_ADF_CHARS = re.compile(r"[ \t\r\n(),.a-zA-Z0-9_]*")
+_ADF_TOKENS = re.compile(r"[a-zA-Z0-9_]+|[(),.]")
+
+
+class _Malformed(Exception):
+    """The token list does not spell a well-formed framework."""
+
+
+def _read_formula(tokens: list[str], i: int) -> tuple[Formula, int]:
+    """The formula that starts at tokens[i], and the index after it."""
+    word = tokens[i]
+    if word in ("neg", "and", "or"):
+        if tokens[i + 1] != "(":
+            raise _Malformed
+        first, i = _read_formula(tokens, i + 2)
+        if word == "neg":
+            formula = Not(first)
+        else:
+            if tokens[i] != ",":
+                raise _Malformed
+            second, i = _read_formula(tokens, i + 1)
+            formula = And(first, second) if word == "and" else Or(first, second)
+        if tokens[i] != ")":
+            raise _Malformed
+        return formula, i + 1
+    if word in ("true", "false"):
+        return Const(word == "true"), i + 1
+    if not "a" <= word[0] <= "z":
+        raise _Malformed
+    return Var(word), i + 1
+
+
+def _read_adf(tokens: list[str]) -> Adf:
+    """The framework that the words and punctuation of a text spell, read as
+    ``_parse_adf_tokens`` reads its tokens. Where that would report an
+    error, this raises _Malformed, or IndexError if the tokens end early."""
+    statements: set[str] = set()
+    conditions: dict[str, Formula] = {}
+    i = 0
+    while i < len(tokens):
+        kind, name = tokens[i], tokens[i + 2]
+        if tokens[i + 1] != "(" or not "a" <= name[0] <= "z" or name in _KEYWORDS:
+            raise _Malformed
+        if kind == "s" and tokens[i + 3] == ")":
+            statements.add(name)
+            i += 4
+        elif kind == "ac" and tokens[i + 3] == "," and name not in conditions:
+            conditions[name], i = _read_formula(tokens, i + 4)
+            if tokens[i] != ")":
+                raise _Malformed
+            i += 1
+        else:
+            raise _Malformed
+        if tokens[i] != ".":
+            raise _Malformed
+        i += 1
+    return Adf(statements, conditions)
+
+
 def parse_adf(text: str) -> Adf:
-    """Parse framework text; declarations may come in any order."""
+    """Parse framework text; declarations may come in any order. Raises
+    ParseError with a 1-based position.
+
+    Well-formed text is read without the tokenizer: comments blanked, its
+    characters checked with one match, then split into words and
+    punctuation with ``findall`` and read from that list. Any other text
+    goes to the token parser, which alone reports errors.
+    """
+    source = _COMMENTS.sub(" ", text) if "%" in text else text
+    if _ADF_CHARS.fullmatch(source):
+        try:
+            return _read_adf(_ADF_TOKENS.findall(source))
+        except (_Malformed, IndexError, RecursionError):
+            pass
+    return _parse_adf_tokens(text)
+
+
+def _parse_adf_tokens(text: str) -> Adf:
+    """``parse_adf`` token by token, with the first error's position."""
     p = _Parser(text)
     statements: set[str] = set()
     conditions: dict[str, Formula] = {}
@@ -237,9 +342,9 @@ def classical_operator(adf: Adf, lattice: PowersetLattice | None = None) -> Latt
     lat = powerset_of(adf.statements, lattice, "framework's statements")
 
     def dependencies():
-        conditions = adf.conditions
-        parents = {s: frozenset(_formula_vars(cond)) for s, cond in conditions.items()}
-        return parents, lambda s, z: _holds(conditions[s], z, z)
+        parents = {s: frozenset(_formula_vars(cond)) for s, cond in adf.conditions.items()}
+        compiled = adf._compiled
+        return parents, lambda s, z: compiled[s](z, z)
 
     return LatticeOperator(lat, name="adf", dependencies=dependencies)
 
@@ -250,10 +355,10 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
     those whose condition is not falsity-supported."""
     op = classical_operator(adf, lattice)
     lat = op.lattice
-    conds = sorted(adf.conditions.items())
+    conds = sorted(adf._compiled.items())
 
     def lower(x, y):
-        return frozenset(s for s, cond in conds if _holds(cond, x, y))
+        return frozenset(s for s, holds in conds if holds(x, y))
 
     def revision(y):
         return iterate(lambda z: lower(z, y), lat.bottom, lat.height + 1, "revision of adf")[-1]

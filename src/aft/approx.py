@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
 
 from .errors import (
     DoesNotApproximateO,
@@ -77,6 +77,15 @@ class ApproxPair:
         return f"({self.lower!r}, {self.upper!r})"
 
 
+def _known_pair(lattice: Lattice, lower: Element, upper: Element) -> ApproxPair:
+    """The pair (lower, upper) of elements already checked to be in
+    ``lattice``: by ``Approximator.apply``, by the revision hook's cache, or
+    as its bottom and top. It is built without checking them again."""
+    pair = object.__new__(ApproxPair)
+    pair.__dict__.update(lattice=lattice, lower=lower, upper=upper)
+    return pair
+
+
 def _same_lattice(p: ApproxPair, q: ApproxPair) -> Lattice:
     if p.lattice is q.lattice or p.lattice == q.lattice:
         return p.lattice
@@ -107,10 +116,18 @@ class Approximator:
 
     ``revision``, when given, maps y to the least fixpoint of
     z -> A(z, y).lower, which the stable-operator routines then call instead
-    of iterating ``apply`` from bottom; both frontends give one, and its
-    last four results are cached. Only a total, symmetric approximator may
-    carry it: symmetry makes z -> A(x, z).upper the same function as
-    z -> A(z, x).lower, so ``revision(x)`` is also the upper revision at x.
+    of iterating ``apply`` from bottom; both frontends give one. Each result
+    is checked to be in the lattice once, when computed, and the last four
+    are cached. Only a total, symmetric approximator may carry it: symmetry
+    makes z -> A(x, z).upper the same function as z -> A(z, x).lower, so
+    ``revision(x)`` is also the upper revision at x.
+
+    Each value is checked once, where it enters: ``apply`` checks the
+    mapping's outputs and the revision hook its results, so the fixpoint
+    routines build their pairs from them unchecked. Like applications, the
+    Kripke-Kleene and well-founded fixpoints are remembered once computed
+    (in ``fixpoints``), so every semantics read off one approximator shares
+    them.
     """
 
     def __init__(
@@ -135,13 +152,20 @@ class Approximator:
         # calls: at lower and upper of an exact pair, at the bound a
         # well-founded step left unchanged, and at a candidate's lower in the
         # partial-stable scan; a few entries catch these without a growing memo
-        self.revision = None if revision is None else functools.lru_cache(maxsize=4)(revision)
+        self.revision = None
+        if revision is not None:
+            check = lattice.check_element
+            # a result is checked once, when computed; a foreign one raises
+            # on every call, since the cache keeps no exceptions
+            self.revision = functools.lru_cache(maxsize=4)(lambda y: check(revision(y)))
         if isinstance(mapping, Mapping):
             table = dict(mapping)
             self._fn = lambda lo, hi: table[(lo, hi)]
         else:
             self._fn = mapping
         self._memo: dict[RawPair, RawPair] = {}
+        # construction name -> (fixpoint, trace), filled by ``fixpoints``
+        self._fixpoints: dict[str, tuple[ApproxPair, list[ApproxPair]]] = {}
 
     def apply(self, lower: Element, upper: Element) -> RawPair:
         key = (lower, upper)
@@ -162,8 +186,7 @@ class Approximator:
     def __call__(self, p: ApproxPair) -> ApproxPair:
         if not (p.lattice is self.lattice or p.lattice == self.lattice):
             raise LatticeMismatch(f"pair {p!r} is not over this approximator's lattice")
-        lo, hi = self.apply(p.lower, p.upper)
-        return ApproxPair(self.lattice, lo, hi)
+        return _known_pair(self.lattice, *self.apply(p.lower, p.upper))
 
     def domain(self) -> Iterator[RawPair]:
         """All pairs this operator is defined on, as raw tuples.

@@ -9,13 +9,14 @@ precision-least fixpoint of the stable operator).
 
 The stable operator's two inner least fixpoints, the revisions, come from
 one routine: the approximator's ``revision`` hook when it carries one, as
-both frontends' approximators do (``Approximator`` caches its last four
-results), and otherwise iterating a projection of the approximator, as for
-``ultimate``, ``dual`` and tabulated ones. A revision of a
-consistency-restricted approximator is undefined once an iterate leaves the
-consistent region, which ``Approximator.apply`` detects. Partial stable
-pairs are found by a scan over lowers: the upper revision depends on the
-lower bound alone, so each lower has a single candidate upper.
+both frontends' approximators do (``Approximator`` checks and caches its
+last four results), and otherwise iterating a projection of the
+approximator, as for ``ultimate``, ``dual`` and tabulated ones. A revision
+of a consistency-restricted approximator is undefined once an iterate
+leaves the consistent region, which ``Approximator.apply`` detects.
+Partial stable pairs are found by a scan over lowers: the upper revision
+depends on the lower bound alone, so each lower has a single candidate
+upper.
 
 The Kripke-Kleene and well-founded iterations and the iterated revisions
 all run through ``aft.lattice.iterate``: the outer ones bounded by twice the
@@ -23,6 +24,12 @@ lattice height, the inner ones by the height, and all of them stopped with
 DivergenceGuard, and the cycle, at the first revisited value.
 Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
+Each approximator remembers its Kripke-Kleene and well-founded fixpoints
+once computed, so the searches and scans that start from them, and a
+second request for either, do not iterate again; every call gets its own
+trace list. The pairs of traces and results are built from values that
+``apply`` or the revision hook has already checked, and are not checked
+again.
 
 Supported fixpoints and stable models are found by propagate, prune and
 branch. Every fixed exact pair of a precision-monotone approximator refines
@@ -38,19 +45,23 @@ bounds, refuse more than SCAN_ATOM_LIMIT atoms left unknown by their bound.
 
 from __future__ import annotations
 
-from .approx import Approximator, ApproxPair
+from .approx import Approximator, ApproxPair, _known_pair
 from .errors import InconsistentPair, StableRevisionUndefined
 from .lattice import SCAN_ATOM_LIMIT, Element, check_atoms, iterate
 
 
 def _pair_trace(a: Approximator, step, what: str) -> tuple[ApproxPair, list[ApproxPair]]:
     """The last pair and the trace of ``step`` iterated on raw pairs from
-    (bottom, top); a strictly precision-increasing chain of pairs climbs at
-    most the lattice height in each bound, which sizes the guard."""
-    lat = a.lattice
-    raw = iterate(step, (lat.bottom, lat.top), 2 * lat.height + 1, what)
-    trace = [ApproxPair(lat, lo, hi) for lo, hi in raw]
-    return trace[-1], trace
+    (bottom, top), computed once per approximator and ``what``; a strictly
+    precision-increasing chain of pairs climbs at most the lattice height in
+    each bound, which sizes the guard."""
+    known = a._fixpoints.get(what)
+    if known is None:
+        lat = a.lattice
+        raw = iterate(step, (lat.bottom, lat.top), 2 * lat.height + 1, what)
+        trace = [_known_pair(lat, lo, hi) for lo, hi in raw]
+        known = a._fixpoints[what] = (trace[-1], trace)
+    return known[0], list(known[1])
 
 
 def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
@@ -58,6 +69,7 @@ def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
 
     Iterates from (bottom, top); for a precision-monotone operator the trace
     is precision-increasing and stabilizes within twice the lattice height.
+    The approximator remembers the result, so a later call iterates no more.
     """
     return _pair_trace(a, lambda p: a.apply(*p), f"Kripke-Kleene iteration of {a.name}")
 
@@ -66,7 +78,7 @@ def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
     """Every pair the approximator leaves fixed, by exhaustive scan."""
     lat = a.lattice
     return frozenset(
-        ApproxPair(lat, lo, hi) for lo, hi in a.domain() if a.apply(lo, hi) == (lo, hi)
+        _known_pair(lat, lo, hi) for lo, hi in a.domain() if a.apply(lo, hi) == (lo, hi)
     )
 
 
@@ -127,7 +139,7 @@ def _revision(a: Approximator, at: Element, lower: bool):
     """
     lat = a.lattice
     if a.revision is not None:
-        return lat.check_element(a.revision(at))
+        return a.revision(at)
     if lower:
         side, start, step = "lower", lat.bottom, lambda z: a.apply(z, at)[0]
     else:
@@ -163,7 +175,7 @@ def stable_operator(a: Approximator, p: ApproxPair) -> ApproxPair:
     out = _stable_raw(a, p.lower, p.upper)
     if out is None:
         raise StableRevisionUndefined(p.raw(), "an inner iteration left the consistent region")
-    return ApproxPair(a.lattice, *out)
+    return _known_pair(a.lattice, *out)
 
 
 def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
@@ -184,7 +196,7 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     for lo in lat.interval(wf.lower, wf.upper):
         hi = _revision(a, lo, False)
         if hi is not None and lat.leq(lo, hi) and _stable_raw(a, lo, hi) == (lo, hi):
-            found.append(ApproxPair(lat, lo, hi))
+            found.append(_known_pair(lat, lo, hi))
     return frozenset(found)
 
 
@@ -228,7 +240,8 @@ def stable_models(a: Approximator) -> frozenset[Element]:
 
 def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
     """The precision-least fixpoint of the stable operator, with its trace,
-    by iterating the stable operator from (bottom, top)."""
+    by iterating the stable operator from (bottom, top). The approximator
+    remembers the result, so a later call iterates no more."""
 
     def step(p):
         out = _stable_raw(a, *p)

@@ -12,9 +12,9 @@ with its own step bound; it stops at a revisited value with the cycle.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .bitmask import Codec, Dependencies
 from .errors import (

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from aft.adf import (
     Adf,
+    _parse_adf_tokens,
     And,
     Const,
     Not,
@@ -28,7 +30,13 @@ from aft.approx import (
     verify_approximator,
 )
 from aft.corpus import random_adf
-from aft.errors import LatticeMismatch, MissingCondition, ParseError, UndeclaredStatement
+from aft.errors import (
+    AftError,
+    LatticeMismatch,
+    MissingCondition,
+    ParseError,
+    UndeclaredStatement,
+)
 from aft.fixpoints import (
     fixpoints_of,
     kripke_kleene,
@@ -119,6 +127,137 @@ class TestParser:
     def test_round_trip(self):
         framework = parse_adf(ABC)
         assert parse_adf(framework.to_text()) == framework
+
+
+# pieces of framework text, valid and not: statement names that look like
+# keywords, keywords, comments (a stray % among them), every whitespace the
+# grammar admits and some it does not
+ADF_PIECES = (
+    ["a", "s", "ac", "not", "neg", "true", "x_Y", "(", ")", ",", "."] * 2
+    + [" ", "\n", "\t", "\r\n", "\r", "% note\n", "%", "\v", "é", ":-", "?", "A", "1", "_"]
+)
+ADF_NAMES = ["a", "b", "s", "ac", "not", "x_Y"]
+
+
+def random_formula(rng, names, depth):
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        return rng.choice(names + ["true", "false"])
+    if pick < 0.5:
+        return f"neg({random_formula(rng, names, depth - 1)})"
+    sep = rng.choice([", ", ",", " ,\n", ",% c\n", ",\t"])
+    first, second = (random_formula(rng, names, depth - 1) for _ in range(2))
+    return f"{rng.choice(['and', 'or'])}({first}{sep}{second})"
+
+
+def random_adf_text(rng):
+    """A framework whose declarations are mostly well formed, in random
+    order, sometimes one declared twice or a keyword declared, then a few
+    random pieces put in or taken out, a suffix cut off, or a comment at end
+    of file."""
+    names = rng.sample(ADF_NAMES, rng.randint(1, 4))
+    decls = [f"s({n})." for n in names]
+    decls += [f"ac({n}, {random_formula(rng, names, rng.randint(0, 3))})." for n in names]
+    if rng.random() < 0.15:
+        decls.append(rng.choice(decls))
+    if rng.random() < 0.05:
+        decls.append(f"s({rng.choice(['neg', 'and', 'or', 'true', 'false'])}).")
+    rng.shuffle(decls)
+    out = []
+    for decl in decls:
+        out.append(decl)
+        out.append(rng.choice(["\n", " ", "\r\n", "\t", "", " % c\n"]))
+    pieces = list("".join(out))
+    for _ in range(rng.choice([0, 0, 0, 1, 2, 4])):
+        at = rng.randint(0, len(pieces))
+        if rng.random() < 0.7 or not pieces:
+            pieces.insert(at, rng.choice(ADF_PIECES))
+        else:
+            del pieces[min(at, len(pieces) - 1)]
+    if rng.random() < 0.1:
+        del pieces[rng.randint(0, len(pieces)) :]
+    if rng.random() < 0.1:
+        pieces.append("% at end of file")
+    return "".join(pieces)
+
+
+def adf_parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+    except AftError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s(s). s(ac). s(not). ac(s, ac). ac(ac, not). ac(not, neg(s)).",
+        "s(a). ac(a, or(and(neg(a), true), neg(neg(false)))).",
+        "s(a). ac(a, true).% comment at end of file",
+        "s(a). ac(a, true). %",
+        "s(a).%c\nac(a,%c\ntrue).",
+        "s(a).\r\nac(a,\ttrue).",
+        "s(a). s(a). ac(a, a).",
+        "s(a). ac(a, a). ac(a, a).",
+        "s(true). ac(true, true).",
+        "s(a). ac(a, neg a).",
+        "s(a). ac(a, true)\v.",
+        "s(a). ac(a, é).",
+        "s(a). ac(a, aé).",
+        "s(a). ac(a, 1a).",
+        "s(a). ac(a, Ab).",
+        "s(a). ac(a, _a).",
+        "s(a). ac(a, tru",
+        "s(a). ac(a, and(a, a)",
+        "s (a) . ac ( a , a ) .",
+        "sa(a).",
+        "s(a). ac(b, a).",
+        "s(a).",
+        "",
+        "% only a comment",
+    ],
+)
+def test_fast_parse_equals_the_token_parse_on_examples(text):
+    assert adf_parse_outcome(parse_adf, text) == adf_parse_outcome(_parse_adf_tokens, text)
+
+
+def test_fast_parse_equals_the_token_parse_on_random_texts():
+    rng = random.Random(2025)
+    parsed = failed = 0
+    for _ in range(4000):
+        text = random_adf_text(rng)
+        expected = adf_parse_outcome(_parse_adf_tokens, text)
+        assert adf_parse_outcome(parse_adf, text) == expected, text
+        if isinstance(expected, Adf):
+            parsed += 1
+        elif isinstance(expected[0], str):
+            failed += 1
+    # both paths are exercised: well-formed texts and parse errors
+    assert parsed > 1000 and failed > 1000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s(a). ac(a, " + "x" * 100_000 + "é",
+        "s(a). ac(a, " + "x " * 50_000 + ").",
+        " " * 100_000 + "?",
+        "s(a). " * 16_667 + "s(",
+        "s(a). ac(a, and(a, neg(a))). " * 3_500 + "ac(a,",
+        "%" + "x" * 100_000 + "\n?",
+    ],
+    ids=["bad-character", "two-names", "spaces", "cut", "duplicate", "comment"],
+)
+def test_malformed_text_fails_in_linear_time(text):
+    # 100,000 characters, wrong only at the end or from the end of the first
+    # declaration on; every check before the error is linear in the text
+    assert len(text) >= 100_000
+    start = time.process_time()
+    with pytest.raises((ParseError, MissingCondition)):
+        parse_adf(text)
+    assert time.process_time() - start < 0.5
 
 
 class TestEval3:

@@ -418,6 +418,33 @@ def test_fitting_and_dual_laws_on_generated_programs(mask):
         assert d.apply(*key) == a.apply(*key)
 
 
+class TestChecksAtTheBoundary:
+    # values are checked where they enter: the mapping's outputs by apply,
+    # the hook's results by the approximator's cache, user pairs on creation
+    def test_apply_refuses_a_foreign_output(self):
+        a = Approximator(PQ, lambda lo, hi: (lo, fs("z")))
+        with pytest.raises(ForeignElement):
+            a.apply(fs(), fs("p"))
+        with pytest.raises(ForeignElement):
+            a(pair([], ["p"]))
+
+    def test_hook_refuses_a_foreign_result_on_every_call(self):
+        calls = []
+        a = Approximator(
+            PQ, lambda lo, hi: (lo, hi), revision=lambda y: calls.append(y) or fs("z")
+        )
+        for _ in range(3):
+            with pytest.raises(ForeignElement):
+                a.revision(fs("p"))
+        assert calls == [fs("p")] * 3
+
+    def test_user_pairs_are_checked(self):
+        with pytest.raises(ForeignElement):
+            ApproxPair(PQ, fs("z"), fs("p"))
+        with pytest.raises(ForeignElement):
+            ApproxPair(PQ, fs(), fs("p", "z"))
+
+
 class TestMemoization:
     def test_apply_memoizes(self):
         calls = []

@@ -54,6 +54,13 @@ def raw_pairs(pairs):
     return {(p.lower, p.upper) for p in pairs}
 
 
+def chain_program(layers):
+    """a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (2 * layers + 1 atoms)"""
+    return parse_program(
+        "a0.\n" + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
+    )
+
+
 # expected values are hand-derived and double-checked against the reduct
 # oracle where stable models are concerned
 CLASSICS = [
@@ -392,19 +399,10 @@ class TestRevisionHook:
                 assert _stable_raw(hooked, lo, hi) == _stable_raw(plain, lo, hi)
 
     def test_well_founded_on_a_long_chain_uses_only_the_hook(self):
-        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (2 * layers + 1
-        # atoms), as a program of 165 layers and a framework image of 20
-        def chain(layers):
-            return parse_program(
-                "a0.\n"
-                + "".join(
-                    f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers)
-                )
-            )
-
+        # the chain as a program of 165 layers and a framework image of 20
         for layers, a in (
-            (165, fitting(chain(165))),
-            (20, adf_approximator(program_to_adf(chain(20)))),
+            (165, fitting(chain_program(165))),
+            (20, adf_approximator(program_to_adf(chain_program(20)))),
         ):
             calls = []
             least_fixpoint = a.revision
@@ -420,6 +418,34 @@ class TestRevisionHook:
         lat = PowersetLattice({"p"})
         with pytest.raises(ValueError, match="total"):
             Approximator(lat, lambda lo, hi: (lo, hi), consistent_only=True, revision=lambda y: y)
+
+
+class TestRememberedFixpoints:
+    @pytest.mark.parametrize("construction", [kripke_kleene, well_founded])
+    def test_second_call_iterates_no_more(self, construction):
+        a = fitting(chain_program(3))
+        first, trace = construction(a)
+        assert len(trace) > 2
+        calls = []
+        apply, hook = a.apply, a.revision
+        a.apply = lambda lo, hi: calls.append((lo, hi)) or apply(lo, hi)
+        a.revision = lambda y: calls.append(y) or hook(y)
+        again, again_trace = construction(a)
+        assert calls == []
+        assert again == first and again_trace == trace and again_trace is not trace
+        again_trace.clear()
+        assert construction(a)[1] == trace
+
+    def test_supported_search_starts_from_the_remembered_fixpoint(self):
+        a = fitting(chain_program(3))
+        kk, _ = kripke_kleene(a)
+        assert kk.exact
+        calls = []
+        apply = a.apply
+        a.apply = lambda lo, hi: calls.append((lo, hi)) or apply(lo, hi)
+        assert supported_fixpoints(a) == {kk.lower}
+        # one application: the fixpoint check of the exact start
+        assert calls == [(kk.lower, kk.upper)]
 
 
 class TestPartialStableScan:
@@ -460,14 +486,8 @@ class TestBoundedScans:
         assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
 
     def test_stable_scan_of_an_exact_well_founded_model_visits_one_candidate(self, monkeypatch):
-        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (15 atoms)
-        layers = 7
-        prog = parse_program(
-            "a0.\n"
-            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
-        )
-        a = fitting(prog)
-        wf, trace = well_founded(a)
+        a = fitting(chain_program(7))
+        wf, _ = well_founded(a)
         assert wf.exact
         calls = []
         stable_raw = fixpoints._stable_raw
@@ -477,8 +497,9 @@ class TestBoundedScans:
             lambda a, lo, hi: calls.append((lo, hi)) or stable_raw(a, lo, hi),
         )
         assert stable_models(a) == {wf.lower}
-        # the inner well-founded iteration makes one call per trace entry
-        assert calls[len(trace):] == [(wf.lower, wf.upper)]
+        # the well-founded fixpoint is remembered, so the search makes one
+        # call, on its exact start
+        assert calls == [(wf.lower, wf.upper)]
 
 
 class TestSearch:
@@ -566,13 +587,8 @@ class TestAtomLimits:
         assert well_founded(ult)[0] == well_founded(a)[0]
 
     def test_scans_admit_a_large_universe_the_bounds_decide(self):
-        # a0.  a{i+1} :- a{i}, not b{i}.  b{i} :- not a{i}.  (21 atoms)
         layers = 10
-        prog = parse_program(
-            "a0.\n"
-            + "".join(f"a{i + 1} :- a{i}, not b{i}.\nb{i} :- not a{i}.\n" for i in range(layers))
-        )
-        a = fitting(prog)
+        a = fitting(chain_program(layers))
         model = frozenset(f"a{i}" for i in range(layers + 1))
         assert len(a.lattice.universe) == 21
         assert supported_fixpoints(a) == stable_models(a) == {model}
