@@ -10,9 +10,12 @@ Every statement must carry exactly one acceptance condition, and conditions
 may only mention declared statements. Conditions are kept as formula trees so
 frameworks print back to their source form.
 
-Well-formed text is read from the list of its words and punctuation, split
-by regular expressions; any other text goes to a token parser, which
-reports the first error's position.
+Text is parsed by one reader, built as the program frontend's is: the
+text is split once into words and punctuation marks, and that list is
+read front to back, each formula with an explicit stack; only when a word
+is wrong is the text tokenized, to report the error's position.
+Conditions nested more than FORMULA_DEPTH_LIMIT connectives deep are
+refused with a ParseError.
 
 The induced pair-space operator evaluates every condition in strong Kleene
 three-valued logic: the lower step collects statements whose condition is
@@ -44,7 +47,6 @@ negations of its attackers; see ``attack_network``.
 from __future__ import annotations
 
 import functools
-import re
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +54,7 @@ from enum import Enum
 from .approx import Approximator, ApproxPair
 from .errors import MissingCondition, UndeclaredStatement
 from .lattice import LatticeOperator, PowersetLattice, iterate, powerset_of
-from .lp import _COMMENTS, LogicProgram, _Parser
+from .lp import LogicProgram, _syntax_error, _words
 
 
 class Truth(Enum):
@@ -106,6 +108,14 @@ class Or:
 Formula = Const | Var | Not | And | Or
 
 _KEYWORDS = {"true", "false", "neg", "and", "or"}
+_CONNECTIVES = {"neg": Not, "and": And, "or": Or}
+
+# The deepest nesting of connectives a parsed condition may have. The walks
+# over a formula that recurse, converting it to text, comparing, hashing,
+# compiling and evaluating it, take up to three Python frames per level:
+# comparison passes the default limit of 1,000 frames at 331 levels, and
+# 256 leave room for the frames of its callers.
+FORMULA_DEPTH_LIMIT = 256
 
 
 Holds = Callable[[frozenset, frozenset], bool]
@@ -151,14 +161,21 @@ def eval3(formula: Formula, p: ApproxPair) -> Truth:
     return Truth.UNKNOWN
 
 
-def _formula_vars(f: Formula) -> set[str]:
-    if isinstance(f, Var):
-        return {f.name}
-    if isinstance(f, Not):
-        return _formula_vars(f.child)
-    if isinstance(f, (And, Or)):
-        return _formula_vars(f.left) | _formula_vars(f.right)
-    return set()
+def _formula_vars(f: Formula) -> frozenset[str]:
+    """The statements a formula mentions."""
+    names = []
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is Var:
+            names.append(f.name)
+        elif kind is Not:
+            stack.append(f.child)
+        elif kind is And or kind is Or:
+            stack.append(f.left)
+            stack.append(f.right)
+    return frozenset(names)
 
 
 class Adf:
@@ -173,10 +190,11 @@ class Adf:
         for s in self.statements:
             if s not in self.conditions:
                 raise MissingCondition(s)
-        for s, cond in self.conditions.items():
-            undeclared = _formula_vars(cond) - self.statements
-            if undeclared:
-                raise UndeclaredStatement(sorted(undeclared)[0])
+        # each statement's parents: the statements its condition mentions
+        self.parents = {s: _formula_vars(cond) for s, cond in self.conditions.items()}
+        for parents in self.parents.values():
+            if not parents <= self.statements:
+                raise UndeclaredStatement(min(parents - self.statements))
 
     @functools.cached_property
     def _compiled(self) -> dict[str, Holds]:
@@ -198,136 +216,94 @@ class Adf:
         return f"<Adf over {sorted(self.statements)}>"
 
 
-def _parse_formula(p: _Parser) -> Formula:
-    _, value, _ = p.take("name", "a formula")
-    if value == "true":
-        return Const(True)
-    if value == "false":
-        return Const(False)
-    if value in ("neg", "and", "or"):
-        p.take("lparen", "'('")
-        first = _parse_formula(p)
-        if value == "neg":
-            p.take("rparen", "')'")
-            return Not(first)
-        p.take("comma", "','")
-        second = _parse_formula(p)
-        p.take("rparen", "')'")
-        return And(first, second) if value == "and" else Or(first, second)
-    return Var(value)
-
-
-def _statement_name(p: _Parser) -> str:
-    _, value, offset = p.take("name", "a statement name")
-    if value in _KEYWORDS:
-        raise p.error(f"{value!r} is reserved and cannot name a statement", offset)
-    return value
-
-
-# Well-formed text after its comments are blanked: only whitespace, name
-# characters and punctuation, which split into words and punctuation marks.
-# A single character class cannot backtrack on text that fails; a pattern
-# that alternates names with whitespace could, trying every split of a word.
-_ADF_CHARS = re.compile(r"[ \t\r\n(),.a-zA-Z0-9_]*")
-_ADF_TOKENS = re.compile(r"[a-zA-Z0-9_]+|[(),.]")
-
-
-class _Malformed(Exception):
-    """The token list does not spell a well-formed framework."""
-
-
-def _read_formula(tokens: list[str], i: int) -> tuple[Formula, int]:
-    """The formula that starts at tokens[i], and the index after it."""
-    word = tokens[i]
-    if word in ("neg", "and", "or"):
-        if tokens[i + 1] != "(":
-            raise _Malformed
-        first, i = _read_formula(tokens, i + 2)
-        if word == "neg":
-            formula = Not(first)
-        else:
-            if tokens[i] != ",":
-                raise _Malformed
-            second, i = _read_formula(tokens, i + 1)
-            formula = And(first, second) if word == "and" else Or(first, second)
-        if tokens[i] != ")":
-            raise _Malformed
-        return formula, i + 1
-    if word in ("true", "false"):
-        return Const(word == "true"), i + 1
-    if not "a" <= word[0] <= "z":
-        raise _Malformed
-    return Var(word), i + 1
-
-
-def _read_adf(tokens: list[str]) -> Adf:
-    """The framework that the words and punctuation of a text spell, read as
-    ``_parse_adf_tokens`` reads its tokens. Where that would report an
-    error, this raises _Malformed, or IndexError if the tokens end early."""
-    statements: set[str] = set()
-    conditions: dict[str, Formula] = {}
-    i = 0
-    while i < len(tokens):
-        kind, name = tokens[i], tokens[i + 2]
-        if tokens[i + 1] != "(" or not "a" <= name[0] <= "z" or name in _KEYWORDS:
-            raise _Malformed
-        if kind == "s" and tokens[i + 3] == ")":
-            statements.add(name)
-            i += 4
-        elif kind == "ac" and tokens[i + 3] == "," and name not in conditions:
-            conditions[name], i = _read_formula(tokens, i + 4)
-            if tokens[i] != ")":
-                raise _Malformed
-            i += 1
-        else:
-            raise _Malformed
-        if tokens[i] != ".":
-            raise _Malformed
-        i += 1
-    return Adf(statements, conditions)
-
-
 def parse_adf(text: str) -> Adf:
     """Parse framework text; declarations may come in any order. Raises
     ParseError with a 1-based position.
 
-    Well-formed text is read without the tokenizer: comments blanked, its
-    characters checked with one match, then split into words and
-    punctuation with ``findall`` and read from that list. Any other text
-    goes to the token parser, which alone reports errors.
+    The text is split once into words and punctuation marks, which are read
+    front to back, each formula with a stack of the connectives still open;
+    only when a word is wrong is the text tokenized, to place the error. A
+    formula nested more than FORMULA_DEPTH_LIMIT connectives deep is
+    refused at the first connective past the limit.
     """
-    source = _COMMENTS.sub(" ", text) if "%" in text else text
-    if _ADF_CHARS.fullmatch(source):
-        try:
-            return _read_adf(_ADF_TOKENS.findall(source))
-        except (_Malformed, IndexError, RecursionError):
-            pass
-    return _parse_adf_tokens(text)
-
-
-def _parse_adf_tokens(text: str) -> Adf:
-    """``parse_adf`` token by token, with the first error's position."""
-    p = _Parser(text)
+    words = _words(text)
     statements: set[str] = set()
     conditions: dict[str, Formula] = {}
-    while p.peek()[0] != "eof":
-        _, value, offset = p.take("name", "'s' or 'ac'")
-        if value == "s":
-            p.take("lparen", "'('")
-            statements.add(_statement_name(p))
-            p.take("rparen", "')'")
-        elif value == "ac":
-            p.take("lparen", "'('")
-            name = _statement_name(p)
-            p.take("comma", "','")
-            if name in conditions:
-                raise p.error(f"duplicate condition for {name!r}", offset)
-            conditions[name] = _parse_formula(p)
-            p.take("rparen", "')'")
+    end = len(words) - 1
+    i = 0
+    while i < end:
+        kind = words[i]
+        if kind != "s" and kind != "ac":
+            raise _syntax_error(text, i, "expected 's' or 'ac'")
+        if words[i + 1] != "(":
+            raise _syntax_error(text, i + 1, "expected '('")
+        name = words[i + 2]
+        if name < "a":
+            raise _syntax_error(text, i + 2, "expected a statement name")
+        if name in _KEYWORDS:
+            raise _syntax_error(text, i + 2, f"{name!r} is reserved and cannot name a statement")
+        if kind == "s":
+            if words[i + 3] != ")":
+                raise _syntax_error(text, i + 3, "expected ')'")
+            statements.add(name)
+            i += 4
         else:
-            raise p.error("expected 's' or 'ac'", offset)
-        p.take("dot", "'.'")
+            if words[i + 3] != ",":
+                raise _syntax_error(text, i + 3, "expected ','")
+            if name in conditions:
+                raise _syntax_error(text, i, f"duplicate condition for {name!r}")
+            conditions[name], i = _read_formula(text, words, i + 4)
+            if words[i] != ")":
+                raise _syntax_error(text, i, "expected ')'")
+            i += 1
+        if words[i] != ".":
+            raise _syntax_error(text, i, "expected '.'")
+        i += 1
     return Adf(statements, conditions)
+
+
+def _read_formula(text: str, words: list[str], i: int) -> tuple[Formula, int]:
+    """The formula that starts at ``words[i]``, and the index after it.
+
+    ``stack`` holds two entries per connective whose operands are not all
+    read: its class, then its first operand or None. A complete formula
+    becomes the innermost one's first operand, or closes it.
+    """
+    stack: list = []
+    while True:
+        word = words[i]
+        connective = _CONNECTIVES.get(word)
+        if connective is not None:
+            if len(stack) == 2 * FORMULA_DEPTH_LIMIT:
+                raise _syntax_error(text, i, f"formula nested more than {FORMULA_DEPTH_LIMIT} deep")
+            if words[i + 1] != "(":
+                raise _syntax_error(text, i + 1, "expected '('")
+            stack.append(connective)
+            stack.append(None)
+            i += 2
+            continue
+        if word == "true" or word == "false":
+            formula = Const(word == "true")
+        elif word >= "a":
+            formula = Var(word)
+        else:
+            raise _syntax_error(text, i, "expected a formula")
+        i += 1
+        while stack:
+            if stack[-1] is None and stack[-2] is not Not:
+                if words[i] != ",":
+                    raise _syntax_error(text, i, "expected ','")
+                stack[-1] = formula
+                i += 1
+                break
+            if words[i] != ")":
+                raise _syntax_error(text, i, "expected ')'")
+            i += 1
+            first = stack.pop()
+            connective = stack.pop()
+            formula = Not(formula) if connective is Not else connective(first, formula)
+        else:
+            return formula, i
 
 
 def adf_lattice(adf: Adf) -> PowersetLattice:
@@ -342,9 +318,8 @@ def classical_operator(adf: Adf, lattice: PowersetLattice | None = None) -> Latt
     lat = powerset_of(adf.statements, lattice, "framework's statements")
 
     def dependencies():
-        parents = {s: frozenset(_formula_vars(cond)) for s, cond in adf.conditions.items()}
         compiled = adf._compiled
-        return parents, lambda s, z: compiled[s](z, z)
+        return adf.parents, lambda s, z: compiled[s](z, z)
 
     return LatticeOperator(lat, name="adf", dependencies=dependencies)
 

@@ -10,8 +10,10 @@ Grammar (files are UTF-8, ``%`` comments to end of line, whitespace free):
 the set of atoms occurring in it, heads and bodies alike; atoms that occur
 only in bodies still enter the universe (they must be expressible as false).
 
-Well-formed text is parsed by a few regular-expression passes; any other
-text goes to a token parser, which reports the first error's position.
+Text is parsed by one reader: its characters are checked with one regular
+expression, it is split once into words and punctuation marks, and that
+list is read front to back; only when a word is wrong is the text
+tokenized, to report the error's position.
 
 The module provides the two-valued one-step consequence operator, its
 four-valued bracketing approximator evaluated on all pairs by the same
@@ -34,8 +36,6 @@ from .errors import ForeignAtom, ParseError, TooManyAtoms
 from .lattice import LatticeOperator, PowersetLattice, powerset_of
 
 ORACLE_ATOM_LIMIT = 20
-
-_RESERVED = {"not"}
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ class LogicProgram:
         return f"<LogicProgram {len(self.rules)} rules over {sorted(self.atoms)}>"
 
 
+# The tokens of both grammars, read only to place an error.
 _TOKEN = re.compile(
     r"(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)|(?P<implies>:-)"
     r"|(?P<comma>,)|(?P<dot>\.)|(?P<lparen>\()|(?P<rparen>\))"
@@ -91,108 +92,108 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
-
-class _Parser:
-    """Tokens of a text, as (kind, value, offset), read front to back.
-
-    The whole text is tokenized first, so an unexpected character is
-    reported before any grammar error. Line and column are computed from a
-    token's offset only when an error is raised.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokens = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise self.error(f"unexpected character {m.group()!r}", m.start())
-            if kind != "skip":
-                tokens.append((kind, m.group(), m.start()))
-        tokens.append(("eof", "", len(text)))
-        self.i = 0
-
-    def error(self, message: str, offset: int) -> ParseError:
-        """A ParseError at the 1-based line and column of ``offset``."""
-        start = self.text.rfind("\n", 0, offset) + 1
-        return ParseError(message, self.text.count("\n", 0, start) + 1, offset - start + 1)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind, what):
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise self.error(f"expected {what}", tok[2])
-        self.i += 1
-        return tok
-
-    def atom(self):
-        _, value, offset = self.take("name", "an atom")
-        if value in _RESERVED:
-            raise self.error(f"{value!r} is reserved and cannot name an atom", offset)
-        return value
-
-
-# The grammar as regular expressions, for well-formed text. Whitespace and
-# names are spelt as the tokenizer spells them: \s and \w would admit
-# Unicode that it rejects. No two whitespace repeats are adjacent: on text
-# that fails, the matcher would try every split of a run between them,
-# quadratic in its length.
-_WS = r"[ \t\r\n]"
-_NAME = r"[a-z][a-zA-Z0-9_]*"
-_LITERAL = rf"(?:not{_WS}+)?{_NAME}"
-_RULE = rf"({_NAME}){_WS}*(?::-{_WS}*({_LITERAL}(?:{_WS}*,{_WS}*{_LITERAL})*){_WS}*)?\."
+# Text whose comments are blanked is in the alphabet when it holds only
+# whitespace, name characters, punctuation and ":-"; any other character
+# is one that no token spells. Runs of a single character class keep the
+# match linear on text that fails.
 _COMMENTS = re.compile(r"%[^\n]*")
-_PROGRAM = re.compile(rf"{_WS}*(?:{_RULE}{_WS}*)*")
-_RULES = re.compile(_RULE)
-_LITERALS = re.compile(rf"(not{_WS}+)?({_NAME})")
+_ALPHABET = re.compile(r"[ \t\r\n(),.a-zA-Z0-9_]*(?::-[ \t\r\n(),.a-zA-Z0-9_]*)*")
+
+
+def _words(text: str) -> list[str]:
+    """The words and punctuation marks of a text, comments dropped, then an
+    empty word that marks the end. A text outside the alphabet raises its
+    ParseError here.
+
+    The marks are set apart with spaces and the text split at whitespace,
+    about twice as fast as a regular expression's ``findall``. In the
+    alphabet the words are the tokenizer's names, marks and ":-", one for
+    one, wherever it finds no bad character; where it does, a word starts
+    with a character a name cannot start with, and is wrong wherever it is.
+    """
+    source = _COMMENTS.sub(" ", text) if "%" in text else text
+    if not _ALPHABET.fullmatch(source):
+        raise _syntax_error(text)
+    words = (
+        source.replace(":-", " :- ")
+        .replace("(", " ( ")
+        .replace(")", " ) ")
+        .replace(",", " , ")
+        .replace(".", " . ")
+        .split()
+    )
+    words.append("")
+    return words
+
+
+def _syntax_error(text: str, index: int = -1, message: str = "") -> ParseError:
+    """The error of a text whose word at ``index`` is wrong, found by one
+    pass of the tokenizer: a character that no token spells is reported
+    first, wherever it is, and otherwise the message is placed at that
+    word's token, or at the end of the text for the end marker. Without an
+    index, the text must hold such a character."""
+    offset = len(text)
+    k = 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            message, offset = f"unexpected character {m.group()!r}", m.start()
+            break
+        if kind != "skip":
+            if k == index:
+                offset = m.start()
+            k += 1
+    start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, start) + 1, offset - start + 1)
 
 
 def parse_program(text: str) -> LogicProgram:
     """Parse program text; raises ParseError with a 1-based position.
 
-    Well-formed text is read with regular expressions: comments blanked,
-    the whole text matched once against the grammar, then the rules and
-    each body's literals extracted. Text that does not match, or that names
-    an atom ``not``, goes to the token parser, which alone reports errors.
+    The text is split once into words and punctuation marks, which are read
+    front to back; only when a word is wrong is the text tokenized, to place
+    the error. A name is any word that starts with a lowercase letter: in
+    this alphabet, exactly the words that compare at least ``"a"``.
     """
-    source = _COMMENTS.sub(" ", text) if "%" in text else text
-    if _PROGRAM.fullmatch(source):
-        rules = []
-        for head, body in _RULES.findall(source):
-            pos, neg = [], []
-            for negated, atom in _LITERALS.findall(body):
-                (neg if negated else pos).append(atom)
-            rules.append(Rule(head, frozenset(pos), frozenset(neg)))
-        program = LogicProgram(rules)
-        if "not" not in program.atoms:
-            return program
-    return _parse_tokens(text)
-
-
-def _parse_tokens(text: str) -> LogicProgram:
-    """``parse_program`` token by token, with the first error's position."""
-    p = _Parser(text)
+    words = _words(text)
     rules = []
-    while p.peek()[0] != "eof":
-        head = p.atom()
-        pos, neg = set(), set()
-        if p.peek()[0] == "implies":
-            p.i += 1
+    end = len(words) - 1
+    i = 0
+    while i < end:
+        head = words[i]
+        if head < "a" or head == "not":
+            raise _atom_error(text, i, head)
+        pos, neg = [], []
+        i += 1
+        if words[i] == ":-":
             while True:
-                if p.peek()[:2] == ("name", "not"):
-                    p.i += 1
-                    neg.add(p.atom())
+                i += 1
+                atom = words[i]
+                if atom == "not":
+                    i += 1
+                    atom = words[i]
+                    if atom < "a" or atom == "not":
+                        raise _atom_error(text, i, atom)
+                    neg.append(atom)
+                elif atom < "a":
+                    raise _atom_error(text, i, atom)
                 else:
-                    pos.add(p.atom())
-                if p.peek()[0] == "comma":
-                    p.i += 1
-                    continue
-                break
-        p.take("dot", "'.'")
+                    pos.append(atom)
+                i += 1
+                if words[i] != ",":
+                    break
+        if words[i] != ".":
+            raise _syntax_error(text, i, "expected '.'")
+        i += 1
         rules.append(Rule(head, frozenset(pos), frozenset(neg)))
     return LogicProgram(rules)
+
+
+def _atom_error(text: str, index: int, word: str) -> ParseError:
+    """The error of ``word``, at ``index``, where an atom is expected."""
+    if word == "not":
+        return _syntax_error(text, index, "'not' is reserved and cannot name an atom")
+    return _syntax_error(text, index, "expected an atom")
 
 
 def program_lattice(program: LogicProgram) -> PowersetLattice:

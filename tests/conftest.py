@@ -1,10 +1,11 @@
 import pytest
 
-from aft.adf import And, Const, Not, Or, Var
+from aft.adf import _KEYWORDS, Adf, And, Const, Formula, Not, Or, Var
 from aft.approx import Approximator, ApproxPair
+from aft.errors import ParseError
 from aft.fixpoints import _stable_raw
 from aft.lattice import FiniteLattice, Lattice
-from aft.lp import parse_program
+from aft.lp import _TOKEN, LogicProgram, Rule, parse_program
 
 TWO_CYCLE = "p :- not q.\nq :- not p.\n"
 POS_LOOP = "p :- p.\n"
@@ -12,6 +13,15 @@ NEG_LOOP = "p :- not p.\n"
 DEFINITE = "p.\nq :- p.\n"
 SEPARATOR = "p :- q.\np :- not q.\nq :- q.\n"
 ABC_ADF = "s(a). s(b). s(c).\nac(a, true). ac(b, a). ac(c, neg(b)).\n"
+
+
+def nested_adf(depth):
+    """A framework whose condition of a, on line 2, nests neg, and, or in
+    turn ``depth`` connectives deep; the innermost is ``neg(a)``."""
+    formula = "a"
+    for k in range(depth):
+        formula = ("neg({})", "and({}, b)", "or(b, {})")[k % 3].format(formula)
+    return f"s(a). s(b).\nac(a, {formula}).\nac(b, neg(a)).\n"
 
 
 FIVE_ELEMENT_LATTICES = {
@@ -180,3 +190,126 @@ def convex_kk_oracle(op):
         if nxt == trace[-1]:
             return nxt, trace
         trace.append(nxt)
+
+
+# -- token parsers, the references for ``parse_program`` and ``parse_adf`` --
+
+_RESERVED = {"not"}
+
+
+class _Parser:
+    """Tokens of a text, as (kind, value, offset), read front to back.
+
+    The whole text is tokenized first, so an unexpected character is
+    reported before any grammar error. Line and column are computed from a
+    token's offset only when an error is raised.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokens = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if kind != "skip":
+                tokens.append((kind, m.group(), m.start()))
+        tokens.append(("eof", "", len(text)))
+        self.i = 0
+
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at the 1-based line and column of ``offset``."""
+        start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, start) + 1, offset - start + 1)
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, kind, what):
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise self.error(f"expected {what}", tok[2])
+        self.i += 1
+        return tok
+
+    def atom(self):
+        _, value, offset = self.take("name", "an atom")
+        if value in _RESERVED:
+            raise self.error(f"{value!r} is reserved and cannot name an atom", offset)
+        return value
+
+
+def parse_program_oracle(text: str) -> LogicProgram:
+    """``parse_program`` token by token, with the first error's position."""
+    p = _Parser(text)
+    rules = []
+    while p.peek()[0] != "eof":
+        head = p.atom()
+        pos, neg = set(), set()
+        if p.peek()[0] == "implies":
+            p.i += 1
+            while True:
+                if p.peek()[:2] == ("name", "not"):
+                    p.i += 1
+                    neg.add(p.atom())
+                else:
+                    pos.add(p.atom())
+                if p.peek()[0] == "comma":
+                    p.i += 1
+                    continue
+                break
+        p.take("dot", "'.'")
+        rules.append(Rule(head, frozenset(pos), frozenset(neg)))
+    return LogicProgram(rules)
+
+
+def _parse_formula(p: _Parser) -> Formula:
+    _, value, _ = p.take("name", "a formula")
+    if value == "true":
+        return Const(True)
+    if value == "false":
+        return Const(False)
+    if value in ("neg", "and", "or"):
+        p.take("lparen", "'('")
+        first = _parse_formula(p)
+        if value == "neg":
+            p.take("rparen", "')'")
+            return Not(first)
+        p.take("comma", "','")
+        second = _parse_formula(p)
+        p.take("rparen", "')'")
+        return And(first, second) if value == "and" else Or(first, second)
+    return Var(value)
+
+
+def _statement_name(p: _Parser) -> str:
+    _, value, offset = p.take("name", "a statement name")
+    if value in _KEYWORDS:
+        raise p.error(f"{value!r} is reserved and cannot name a statement", offset)
+    return value
+
+
+def parse_adf_oracle(text: str) -> Adf:
+    """``parse_adf`` token by token, with the first error's position; it
+    nests formulas to any depth Python's stack allows."""
+    p = _Parser(text)
+    statements: set[str] = set()
+    conditions: dict[str, Formula] = {}
+    while p.peek()[0] != "eof":
+        _, value, offset = p.take("name", "'s' or 'ac'")
+        if value == "s":
+            p.take("lparen", "'('")
+            statements.add(_statement_name(p))
+            p.take("rparen", "')'")
+        elif value == "ac":
+            p.take("lparen", "'('")
+            name = _statement_name(p)
+            p.take("comma", "','")
+            if name in conditions:
+                raise p.error(f"duplicate condition for {name!r}", offset)
+            conditions[name] = _parse_formula(p)
+            p.take("rparen", "')'")
+        else:
+            raise p.error("expected 's' or 'ac'", offset)
+        p.take("dot", "'.'")
+    return Adf(statements, conditions)

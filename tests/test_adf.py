@@ -2,12 +2,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aft.adf import (
+    FORMULA_DEPTH_LIMIT,
     Adf,
-    _parse_adf_tokens,
     And,
     Const,
     Not,
@@ -46,7 +46,7 @@ from aft.fixpoints import (
 )
 from aft.lattice import PowersetLattice
 from aft.lp import fitting, parse_program
-from conftest import fs, support_oracle
+from conftest import fs, nested_adf, parse_adf_oracle, support_oracle
 
 ABC = "s(a). s(b). s(c). ac(a, true). ac(b, a). ac(c, neg(b))."
 
@@ -68,6 +68,21 @@ ADF_PARSE_ERRORS = [
     ("s(a). ac(", 1, 10, "expected a statement name"),
     ("s(a). ac(a, A).", 1, 13, "unexpected character 'A'"),
     ("s(a). ac(a, true). s(b). ac(b, :-).", 1, 32, "expected a formula"),
+    # one connective past the limit: the error is at the innermost
+    pytest.param(
+        "s(a). ac(a, " + "neg(" * (FORMULA_DEPTH_LIMIT + 1) + "a" + ")" * (FORMULA_DEPTH_LIMIT + 1) + ").",
+        1,
+        13 + 4 * FORMULA_DEPTH_LIMIT,
+        f"formula nested more than {FORMULA_DEPTH_LIMIT} deep",
+        id="neg-past-the-depth-limit",
+    ),
+    pytest.param(
+        nested_adf(FORMULA_DEPTH_LIMIT + 1),
+        2,
+        nested_adf(FORMULA_DEPTH_LIMIT + 1).split("\n")[1].index("neg(a)") + 1,
+        f"formula nested more than {FORMULA_DEPTH_LIMIT} deep",
+        id="mixed-past-the-depth-limit",
+    ),
 ]
 
 
@@ -217,10 +232,11 @@ def adf_parse_outcome(parse, text):
         "s(a).",
         "",
         "% only a comment",
+        pytest.param(nested_adf(FORMULA_DEPTH_LIMIT), id="at-the-depth-limit"),
     ],
 )
 def test_fast_parse_equals_the_token_parse_on_examples(text):
-    assert adf_parse_outcome(parse_adf, text) == adf_parse_outcome(_parse_adf_tokens, text)
+    assert adf_parse_outcome(parse_adf, text) == adf_parse_outcome(parse_adf_oracle, text)
 
 
 def test_fast_parse_equals_the_token_parse_on_random_texts():
@@ -228,7 +244,7 @@ def test_fast_parse_equals_the_token_parse_on_random_texts():
     parsed = failed = 0
     for _ in range(4000):
         text = random_adf_text(rng)
-        expected = adf_parse_outcome(_parse_adf_tokens, text)
+        expected = adf_parse_outcome(parse_adf_oracle, text)
         assert adf_parse_outcome(parse_adf, text) == expected, text
         if isinstance(expected, Adf):
             parsed += 1
@@ -247,11 +263,12 @@ def test_fast_parse_equals_the_token_parse_on_random_texts():
         "s(a). " * 16_667 + "s(",
         "s(a). ac(a, and(a, neg(a))). " * 3_500 + "ac(a,",
         "%" + "x" * 100_000 + "\n?",
+        "s(a). ac(a, " + "neg(" * 25_000,
     ],
-    ids=["bad-character", "two-names", "spaces", "cut", "duplicate", "comment"],
+    ids=["bad-character", "two-names", "spaces", "cut", "duplicate", "comment", "deep"],
 )
 def test_malformed_text_fails_in_linear_time(text):
-    # 100,000 characters, wrong only at the end or from the end of the first
+    # 100,000 characters, wrong only at the end or from within the first
     # declaration on; every check before the error is linear in the text
     assert len(text) >= 100_000
     start = time.process_time()
@@ -441,6 +458,14 @@ formulas = st.deferred(
 
 
 @given(st.dictionaries(st.sampled_from(["a", "b"]), formulas, min_size=2, max_size=2))
+# conditions nested as deep as the parser admits: neg, and, or in turn, and
+# neg alone
+@example(parse_adf(nested_adf(FORMULA_DEPTH_LIMIT)).conditions)
+@example(
+    parse_adf(
+        "s(a). s(b). ac(a, b). ac(b, " + "neg(" * FORMULA_DEPTH_LIMIT + "a" + ")" * FORMULA_DEPTH_LIMIT + ")."
+    ).conditions
+)
 def test_generated_frameworks_round_trip_and_verify(conditions):
     framework = Adf(["a", "b"], conditions)
     assert parse_adf(framework.to_text()) == framework

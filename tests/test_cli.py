@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aft
-from aft.adf import Adf
+from aft.adf import FORMULA_DEPTH_LIMIT, Adf
 from aft.cli import _json_text, build_parser, main
 from aft.corpus import random_formula
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lp import fitting, parse_program
-from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE
+from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE, nested_adf
 
 SELF_ATTACK = "s(a). ac(a, neg(a)).\n"
 SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(17))
@@ -72,6 +72,13 @@ class TestRun:
         code, out, err = run(capsys, "lp", path)
         assert code == 1
         assert "line 1" in err
+
+    def test_formula_nested_past_the_depth_limit_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.adf", "s(a). ac(a, " + "neg(" * 3000 + "a" + ")" * 3000 + ").")
+        code, out, err = run(capsys, "adf", path)
+        assert code == 1 and out == ""
+        column = 13 + 4 * FORMULA_DEPTH_LIMIT
+        assert err == f"error: formula nested more than {FORMULA_DEPTH_LIMIT} deep (line 1, column {column})\n"
 
     def test_convex_kk_beyond_its_atom_limit_exits_1(self, tmp_path, capsys):
         path = write(tmp_path, "chain.lp", "\n".join(f"a{i} :- not a{i + 1}." for i in range(16)))
@@ -429,6 +436,9 @@ JSON_PATHS = [
     ["adf", "{adf}", "--semantics", "all", "--trace"],
     ["check", "lp", "{lp}"],
     ["check", "adf", "{adf}"],
+    # a condition nested as deep as the parser admits
+    ["adf", "{deep}", "--semantics", "all", "--trace", "--validate"],
+    ["check", "adf", "{deep}"],
     ["check", "tab", "{tab}"],
     ["compare", "{lp}"],
     ["compare", "--corpus", "5"],
@@ -440,6 +450,7 @@ def test_json_output_is_the_standard_encoding(tmp_path, capsys, argv):
     files = {
         "lp": write(tmp_path, "sep.lp", SEPARATOR),
         "adf": write(tmp_path, "abc.adf", ABC_ADF),
+        "deep": write(tmp_path, "deep.adf", nested_adf(FORMULA_DEPTH_LIMIT)),
         "tab": write(tmp_path, "swap.json", json.dumps(SWAP_TABLE)),
     }
     code, out, _ = run(capsys, *(a.format(**files) for a in argv), "--format", "json")

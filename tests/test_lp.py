@@ -15,7 +15,6 @@ from aft.lp import (
     LogicProgram,
     Rule,
     _definite_lfp,
-    _parse_tokens,
     fitting,
     gl_reduct,
     is_stratified,
@@ -24,7 +23,7 @@ from aft.lp import (
     stable_models_oracle,
     tp,
 )
-from conftest import fitting_step_oracle, fs
+from conftest import fitting_step_oracle, fs, parse_program_oracle
 
 
 # (text, line, column, message) of the first ParseError: CRLF and tab each
@@ -174,7 +173,7 @@ def parse_outcome(parse, text):
     ],
 )
 def test_regex_parse_equals_the_token_parse_on_examples(text):
-    assert parse_outcome(parse_program, text) == parse_outcome(_parse_tokens, text)
+    assert parse_outcome(parse_program, text) == parse_outcome(parse_program_oracle, text)
 
 
 def test_regex_parse_equals_the_token_parse_on_random_texts():
@@ -182,7 +181,7 @@ def test_regex_parse_equals_the_token_parse_on_random_texts():
     parsed = failed = 0
     for _ in range(4000):
         text = random_text(rng)
-        expected = parse_outcome(_parse_tokens, text)
+        expected = parse_outcome(parse_program_oracle, text)
         assert parse_outcome(parse_program, text) == expected, text
         if isinstance(expected, LogicProgram):
             parsed += 1
@@ -192,11 +191,27 @@ def test_regex_parse_equals_the_token_parse_on_random_texts():
     assert parsed > 1000 and failed > 1000
 
 
-@pytest.mark.parametrize("text", ["p", "p :- q", "p :- q,", "p :-", "p :- not", "p."])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a long run of whitespace where the grammar fails next: one way of
+        # matching the run, not one per split of it
+        *(
+            pytest.param(head + " " * 100_000 + "?", id=head)
+            for head in ["p", "p :- q", "p :- q,", "p :-", "p :- not", "p."]
+        ),
+        pytest.param("p :- " + "x" * 100_000 + "é", id="bad-character"),
+        pytest.param("p :- " + "x " * 50_000 + ".", id="two-names"),
+        pytest.param("%" + "x" * 100_000 + "\n?", id="comment"),
+        pytest.param("p :- q, not r. " * 6_667 + "p :- q,", id="cut"),
+        pytest.param("p :- q, not r. " * 6_667 + "p :- not not.", id="reserved"),
+        pytest.param("p :- q, not r. " * 6_667 + "p : q.", id="colon"),
+    ],
+)
 def test_malformed_text_fails_in_linear_time(text):
-    # a long run of whitespace where the grammar fails next: one way of
-    # matching the run, not one per split of it
-    text += " " * 100_000 + "?"
+    # 100,000 characters, wrong only at the end or from the second word on;
+    # every check before the error is linear in the text
+    assert len(text) >= 100_000
     start = time.process_time()
     with pytest.raises(ParseError):
         parse_program(text)
