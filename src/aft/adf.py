@@ -344,9 +344,16 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
 
 
 def _fold(connective: type, parts: list[Formula]) -> Formula:
-    """The parts joined by ``connective``, And or Or, nested to the left;
-    with no parts, its unit: true for And, false for Or."""
-    return functools.reduce(connective, parts) if parts else Const(connective is And)
+    """The parts joined by ``connective``, And or Or, in their order, as a
+    balanced tree: each round joins neighbouring pairs, so n parts nest
+    ceil(log2(n)) deep; with no parts, its unit: true for And, false for
+    Or."""
+    if not parts:
+        return Const(connective is And)
+    while len(parts) > 2:
+        paired = list(map(connective, parts[::2], parts[1::2]))
+        parts = paired + parts[-1:] if len(parts) % 2 else paired
+    return connective(*parts) if len(parts) == 2 else parts[0]
 
 
 def program_to_adf(program: LogicProgram) -> Adf:

@@ -5,13 +5,17 @@ Bit i of a mask stands for the i-th atom of the universe in sorted order, and
 bit m of a bitset for the element whose mask is m. ``Codec.hull`` and
 ``Dependencies.image``/``bounds`` take and return frozensets, and
 ``PowersetLattice`` builds the codec the first time one of them is needed.
-Only ``aft.convex`` keeps masks outside this module: it iterates bitsets,
-built from ``Dependencies.image_masks`` and closed by ``Codec.close``, and
-turns each iterate back into frozensets once.
+``aft.convex`` iterates bitsets, built from ``Dependencies.image_masks`` and
+closed by ``Codec.close``, and returns each iterate as a ``MaskSet``: a
+read-only set that keeps the bitset and its codec, equals the frozenset of
+its members and decodes them only when iterated. The CLI lists a MaskSet's
+members with ``MaskSet.sorted_members``, from the masks and the codec's byte
+tables, without decoding them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -30,7 +34,7 @@ class Codec:
         """For each byte of a mask, the tuple of atoms that each of its 256
         values stands for."""
         chunks = []
-        for start in range(0, len(self.atoms), 8):
+        for start in range(0, max(len(self.atoms), 1), 8):
             table = [()]
             for a in self.atoms[start:start + 8]:
                 table += [t + (a,) for t in table]
@@ -97,6 +101,131 @@ _DIGITS = bytes.maketrans(b"01", b"\0\1")
 def select(items: Sequence, bitset: int) -> Iterator:
     """The items at the positions of the bits set in ``bitset``."""
     return compress(items, bin(bitset)[:1:-1].encode().translate(_DIGITS))
+
+
+def bitset(positions: Iterable[int], size: int) -> int:
+    """The int of ``size`` bits with the bits at ``positions`` set, read
+    from a string of binary digits: a sum of ``1 << m`` would build an int
+    of up to ``size`` bits for each position."""
+    digits = bytearray(b"0") * size
+    for m in positions:
+        digits[m] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
+
+
+class MaskSet(Set):
+    """A read-only set of elements of a powerset: bit m of ``bits`` stands
+    for the element whose mask in ``codec`` is m. It equals, and hashes as,
+    the frozenset of its members, and decodes them only when iterated;
+    ``sorted_members`` lists them in order without decoding them."""
+
+    __slots__ = ("codec", "bits")
+
+    def __init__(self, codec: Codec, bits: int):
+        self.codec = codec
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __iter__(self) -> Iterator[frozenset]:
+        return map(self.codec.decode, select(range(self.bits.bit_length()), self.bits))
+
+    def __contains__(self, x) -> bool:
+        if not isinstance(x, frozenset):
+            return False
+        try:
+            return self.bits >> self.codec.mask(x) & 1 == 1
+        except KeyError:  # an atom outside the universe
+            return False
+
+    def _bits_of(self, other) -> int | None:
+        # the bits of a MaskSet over the same atoms, compared without decoding
+        if type(other) is MaskSet and other.codec.atoms == self.codec.atoms:
+            return other.bits
+        return None
+
+    # against any other set, the members are decoded once and compared as a
+    # frozenset, which is faster than the element-wise methods of Set; its
+    # < and > call these
+
+    def __le__(self, other) -> bool:
+        bits = self._bits_of(other)
+        return frozenset(self) <= other if bits is None else not self.bits & ~bits
+
+    def __ge__(self, other) -> bool:
+        bits = self._bits_of(other)
+        return frozenset(self) >= other if bits is None else not bits & ~self.bits
+
+    def __eq__(self, other) -> bool:
+        bits = self._bits_of(other)
+        return frozenset(self) == other if bits is None else self.bits == bits
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"MaskSet({set(self)!r})"
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        # what the set operators of Set return
+        return frozenset(it)
+
+    def sorted_members(self) -> list[tuple]:
+        """Each member as the tuple of its atoms in sorted order, in the order
+        of ``sorted(sorted(m) for m in self)``, from the codec's byte tables.
+
+        Bit i stands for the i-th atom, so that order is the order of each
+        mask's bit positions read upwards, the preorder of the tree in which
+        a set's children add one atom above its highest. A nonempty mask
+        with bits i_1 < ... < i_k of n has rank 2**n + k - R - 2**(n-1-i_k)
+        there, where R has bit n-1-i for each bit i of the mask, and the
+        empty mask rank 0. Each byte of a mask adds its share of that rank,
+        and the highest nonzero byte its share of the last term too, so the
+        masks of one block of 256, which share every byte but the lowest,
+        take their ranks from one table of 256 entries. The masks are sorted
+        as one list of ints, the rank above the mask's n bits."""
+        codec, n = self.codec, len(self.codec.atoms)
+        if n <= 8:  # at most 256 members, which sort as tuples faster
+            return sorted(select(codec._chunks[0], self.bits))
+        chunks = codec._chunks
+        tables = [_rank_shares(n, start) for start in range(0, n, 8)]
+        low = [[share << n | byte for byte, share in enumerate(shares)] for shares in tables[0]]
+        keys: list[int] = []
+        tails: list[tuple] = []  # the atoms of each block's bytes above the lowest
+        data = self.bits.to_bytes((1 << n) >> 3, "little")
+        for block in range(len(data) >> 5):
+            base, tail, rest = 1 << n, (), block
+            for (shares, top_shares), table in zip(tables[1:], chunks[1:]):
+                if rest:
+                    byte = rest & 255
+                    rest >>= 8
+                    base += (shares if rest else top_shares)[byte]
+                    tail += table[byte]
+            tails.append(tail)
+            bits = int.from_bytes(data[block << 5:(block + 1) << 5], "little")
+            if bits:
+                lows = low[0] if block else low[1]
+                keys += map((base << n | block << 8).__add__, select(lows, bits))
+        keys.sort()
+        first, masks = chunks[0], (1 << n) - 1
+        return [first[k & 255] + tails[(k & masks) >> 8] for k in keys]
+
+
+def _rank_shares(n: int, start: int) -> tuple[list[int], list[int]]:
+    """For each value of the byte of masks of n bits that begins at bit
+    ``start``, its share of ``MaskSet.sorted_members``'s rank less 2**n:
+    1 - 2**(n-1-i) for each bit i; and that share when the byte holds the
+    highest bit, less 2**(n-1-i) for that bit i, the empty byte -2**n."""
+    shares, top_shares = [0], [-(1 << n)]
+    for i in range(start, min(start + 8, n)):
+        weight = 1 << (n - 1 - i)
+        added = [share + 1 - weight for share in shares]
+        top_shares += [share - weight for share in added]
+        shares += added
+    return shares, top_shares
 
 
 class _ConditionTable(dict):

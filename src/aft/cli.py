@@ -34,6 +34,7 @@ from .approx import (
     ultimate,
     verify_approximator,
 )
+from .bitmask import MaskSet
 from .convex import convex_kripke_kleene, embed_interval
 from .corpus import DEFAULT_SEED, random_programs
 from .errors import (
@@ -127,6 +128,10 @@ def _pair_json(pair, atoms) -> dict:
 
 
 def _sets_json(sets) -> list:
+    # a MaskSet, which convex-kk returns, lists its members in this order
+    # from their masks, as tuples
+    if type(sets) is MaskSet:
+        return sets.sorted_members()
     return sorted(sorted(m) for m in sets)
 
 
@@ -187,14 +192,19 @@ def _json_text(doc) -> str:
     return "".join(pieces)
 
 
+# the most lists of strings that a list may hold to be written value by
+# value, which costs less for a few
+_FEW_ROWS = 16
+
+
 def _write_json(value, pad: str, quoted: _Quoted, put) -> None:
     # a module function rather than a closure: a closure that calls itself is
     # a reference cycle, which would hold each document's pieces until the
-    # next cyclic collection
+    # next cyclic collection; tuples are written as lists
     if isinstance(value, str):
         put(quoted[value])
         return
-    if not isinstance(value, (dict, list)):
+    if not isinstance(value, (dict, list, tuple)):
         put(json.dumps(value))
         return
     if not value:
@@ -210,18 +220,42 @@ def _write_json(value, pad: str, quoted: _Quoted, put) -> None:
             lead = sep
         put("\n" + pad + "}")
         return
-    if isinstance(value[0], str):
-        try:
+    head = value[0]
+    try:
+        if isinstance(head, str):
             put("[\n" + inner + sep.join(map(quoted.__getitem__, value)) + "\n" + pad + "]")
             return
-        except TypeError:  # strings mixed with other values
-            pass
+        # many lists of strings, as the members of a set of elements are, are
+        # written row by row here; a few, which cost less value by value,
+        # and lists of such lists, as traces are, go value by value below
+        many = len(value) > _FEW_ROWS and {list, tuple} >= set(map(type, value))
+        if many and all(isinstance(a, str) for a in head[:1]):
+            lead = "[\n" + inner
+            for row in _rows_json(value, inner, quoted):
+                put(lead)
+                put(row)
+                lead = sep
+            put("\n" + pad + "]")
+            return
+    except TypeError:  # strings mixed with other values
+        pass
     lead = "[\n" + inner
     for v in value:
         put(lead)
         _write_json(v, inner, quoted, put)
         lead = sep
     put("\n" + pad + "]")
+
+
+def _rows_json(rows, pad: str, quoted: _Quoted) -> list[str]:
+    """The JSON of each list of strings in ``rows``, at ``pad``, all built
+    before any is written, so that a row holding anything but strings
+    raises TypeError first. Apart from ``_write_json``, whose every call
+    would otherwise make cells of the names this comprehension reads."""
+    inner = pad + "  "
+    start, sep, end = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+    text = quoted.__getitem__
+    return [start + sep.join(map(text, row)) + end if row else "[]" for row in rows]
 
 
 # -- run ---------------------------------------------------------------------

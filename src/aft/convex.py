@@ -20,11 +20,11 @@ to compare its precision against interval constructions.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .approx import ApproxPair
 from .errors import InconsistentPair, TooManyElements
-from .bitmask import select
+from .bitmask import MaskSet, bitset, select
 from .lattice import (
     SCAN_ATOM_LIMIT,
     FiniteLattice,
@@ -89,15 +89,17 @@ def lift_operator(op: LatticeOperator) -> Callable[[ConvexSet], ConvexSet]:
     return lifted
 
 
-def convex_kripke_kleene(op: LatticeOperator) -> tuple[ConvexSet, list[ConvexSet]]:
+def convex_kripke_kleene(op: LatticeOperator) -> tuple[AbstractSet, list[AbstractSet]]:
     """Precision-least fixpoint of the lifted operator, iterated from the
     full (least precise) set of its lattice; the trace shrinks monotonically.
 
     On a powerset the iterates are bitsets over the elements' masks, and a
     step ORs the image masks of the members, taken from the operator's
     dependencies or else from the operator itself, then closes the result
-    (``Codec.close``); each iterate turns back into frozensets once. Other
-    lattices iterate ``lift_operator`` on frozensets.
+    (``Codec.close``). The result and each iterate are returned as a
+    ``MaskSet`` over that bitset, equal to the frozenset of its members,
+    which are decoded only when it is iterated. Other lattices iterate
+    ``lift_operator`` on frozensets.
 
     Either way it computes the image of every element, so lattices of more
     than 2**SCAN_ATOM_LIMIT elements are refused with TooManyAtoms,
@@ -109,15 +111,17 @@ def convex_kripke_kleene(op: LatticeOperator) -> tuple[ConvexSet, list[ConvexSet
     if not isinstance(lattice, PowersetLattice):
         trace = iterate(lift_operator(op), frozenset(lattice.elements), bound, what)
         return trace[-1], trace
-    codec, elements = lattice._codec, lattice._all_subsets
+    codec, size = lattice._codec, lattice.size
     deps = op.dependencies
-    images = deps.image_masks() if deps is not None else [codec.mask(op(x)) for x in elements]
+    if deps is not None:
+        images = deps.image_masks()
+    else:
+        images = [codec.mask(op(codec.decode(m))) for m in range(size)]
 
     def step(members: int) -> int:
-        return codec.close(sum(1 << m for m in set(select(images, members))))
+        return codec.close(bitset(set(select(images, members)), size))
 
-    iterates = iterate(step, (1 << len(elements)) - 1, bound, what)
-    trace = [frozenset(select(elements, s)) for s in iterates]
+    trace = [MaskSet(codec, s) for s in iterate(step, (1 << size) - 1, bound, what)]
     return trace[-1], trace
 
 

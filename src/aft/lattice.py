@@ -328,11 +328,9 @@ class PowersetLattice(Lattice):
 
     Meets, joins and order tests are plain set operations, so nothing is
     materialized until something genuinely enumerates the elements (scans,
-    exhaustive law checks, convex iteration). The per-atom evaluation of
-    operators works on int bitmasks of the elements, and the hull closes a
-    bitset of them by shifts, inside ``aft.bitmask``; ``_all_subsets`` lists
-    the elements in the order of their masks, so that a bitset over the
-    masks turns back into frozensets by position.
+    exhaustive law checks). The per-atom evaluation of operators, the hull
+    and convex iteration work on int bitmasks of the elements and bitsets of
+    those, inside ``aft.bitmask``.
     """
 
     def __init__(self, universe: Iterable):
@@ -341,17 +339,12 @@ class PowersetLattice(Lattice):
         self.top = self.universe
 
     @cached_property
-    def _all_subsets(self) -> list[frozenset]:
-        """Every element, at the index of its ``Codec`` mask."""
+    def elements(self) -> frozenset:
         members = [frozenset()]
         for a in sorted(self.universe):
             atom = frozenset((a,))
             members += [m | atom for m in members]
-        return members
-
-    @cached_property
-    def elements(self) -> frozenset:
-        return frozenset(self._all_subsets)
+        return frozenset(members)
 
     @property
     def size(self) -> int:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from aft.adf import _KEYWORDS, Adf, And, Const, Formula, Not, Or, Var
@@ -190,6 +192,31 @@ def convex_kk_oracle(op):
         if nxt == trace[-1]:
             return nxt, trace
         trace.append(nxt)
+
+
+def sets_json_oracle(members):
+    """Reference for how a set of elements is listed: each member as the
+    sorted list of its atoms, the lists sorted."""
+    return sorted(sorted(m) for m in members)
+
+
+def convex_output_oracle(frontend, atoms, result, trace, fmt):
+    """Reference for the output of ``aft lp|adf --semantics convex-kk``:
+    ``sets_json_oracle`` of the result and, when ``trace`` is not None, of
+    each iterate, given as frozensets of frozensets, in JSON by the standard
+    encoder or as text."""
+    if fmt == "json":
+        entry = {"members": sets_json_oracle(result)}
+        if trace is not None:
+            entry["trace"] = [sets_json_oracle(s) for s in trace]
+        doc = {"schema": "aft/1", "frontend": frontend, "atoms": atoms, "convex-kk": entry}
+        return json.dumps(doc, indent=2) + "\n"
+
+    def shown(members):
+        return ", ".join("{" + ",".join(m) + "}" for m in sets_json_oracle(members)) or "(none)"
+
+    steps = [f"  step {i}: {shown(s)}\n" for i, s in enumerate(trace or ())]
+    return f"convex-kk: {shown(result)}\n" + "".join(steps)
 
 
 # -- token parsers, the references for ``parse_program`` and ``parse_adf`` --

@@ -432,6 +432,24 @@ class TestProgramEncoding:
         encoded = program_to_adf(prog)
         assert encoded.conditions["q"] == Const(False)
 
+    @pytest.mark.parametrize("rules", [300, 5000])
+    def test_many_rules_of_one_head_nest_logarithmically(self, rules):
+        # the rules are joined as a balanced tree, so the image reads back
+        # within the parser's depth limit and compares without recursing deep
+        text = "".join(f"p :- q{i}, not r{i}.\n" for i in range(rules))
+        prog = parse_program(text + "".join(f"q{i} :- not s{i}.\n" for i in range(0, rules, 2)))
+        encoded = program_to_adf(prog)
+        assert parse_adf(encoded.to_text()) == encoded
+        fit, enc = fitting(prog), adf_approximator(encoded)
+        assert kripke_kleene(enc)[0] == kripke_kleene(fit)[0]
+        assert well_founded(enc)[0] == well_founded(fit)[0]
+
+    def test_parts_keep_their_order(self):
+        encoded = program_to_adf(parse_program("p :- a.\np :- b.\np :- c.\np :- d.\np :- e."))
+        assert encoded.conditions["p"].to_text() == "or(or(or(a, b), or(c, d)), e)"
+        framework = attack_network(["x", "a", "b", "c"], [("c", "x"), ("a", "x"), ("b", "x")])
+        assert framework.conditions["x"].to_text() == "and(and(neg(a), neg(b)), neg(c))"
+
 
 class TestAttackNetwork:
     def test_chain_of_attacks(self):

@@ -92,7 +92,7 @@ class TestPrecisionOrder:
         assert precision_leq(pair(lo, hi, lat), pair(lo, lo, same))
         assert pair(lo, hi, lat) != pair(lo, hi, other)
         for lattice in (lat, same, other):
-            assert "_all_subsets" not in lattice.__dict__
+            assert "elements" not in lattice.__dict__
             assert "_extension" not in lattice.__dict__
 
     def test_precision_is_interval_containment(self):

@@ -11,12 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aft
-from aft.adf import FORMULA_DEPTH_LIMIT, Adf
+from aft.adf import FORMULA_DEPTH_LIMIT, Adf, classical_operator, parse_adf
 from aft.cli import _json_text, build_parser, main
-from aft.corpus import random_formula
+from aft.convex import convex_kripke_kleene
+from aft.corpus import random_adf, random_formula, random_program
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
-from aft.lp import fitting, parse_program
-from conftest import ABC_ADF, DEFINITE, NEG_LOOP, SEPARATOR, TWO_CYCLE, nested_adf
+from aft.lp import fitting, parse_program, tp
+from conftest import (
+    ABC_ADF,
+    DEFINITE,
+    NEG_LOOP,
+    SEPARATOR,
+    TWO_CYCLE,
+    convex_output_oracle,
+    nested_adf,
+)
 
 SELF_ATTACK = "s(a). ac(a, neg(a)).\n"
 SELF_ATTACKS = "\n".join(f"a{i} :- not a{i}." for i in range(17))
@@ -424,6 +433,12 @@ DOCUMENTS = st.recursive(
 @example(["a", 1])
 @example(["a", ["b"], {"c": "d"}])
 @example([1, "a"])
+@example([("a", "b"), [], ["c"], ()])
+@example([["a"], "b"])
+@example([["a"], {"b": "c"}])
+@example([[], [["a"]]])
+@example([["a"], [1]])
+@example([[f"a{i}", "b"] if i % 3 else [] for i in range(2500)])
 def test_json_writer_equals_the_standard_encoder(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
@@ -459,6 +474,49 @@ def test_json_output_is_the_standard_encoding(tmp_path, capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     if "{tab}" in argv:
         assert json.loads(out)["checks"][0]["witness"] is not None
+
+
+CONVEX_FORMATS = [("json", False), ("json", True), ("text", False), ("text", True)]
+
+
+def check_convex_output(tmp_path, capsys, frontend, text, formats=CONVEX_FORMATS):
+    """``--semantics convex-kk`` in each (format, traced) of ``formats``
+    against ``convex_output_oracle`` over the frozensets of the members."""
+    path = write(tmp_path, f"input.{frontend}", text)
+    if frontend == "lp":
+        op = tp(parse_program(text))
+    else:
+        op = classical_operator(parse_adf(text))
+    result, trace = convex_kripke_kleene(op)
+    result, trace = frozenset(result), [frozenset(s) for s in trace]
+    atoms = sorted(op.lattice.universe)
+    for fmt, traced in formats:
+        argv = [frontend, path, "--semantics", "convex-kk", "--format", fmt]
+        code, out, err = run(capsys, *argv, *["--trace"] * traced)
+        assert (code, err) == (0, "")
+        assert out == convex_output_oracle(frontend, atoms, result, trace if traced else None, fmt)
+
+
+@pytest.mark.parametrize("seed", range(26))
+def test_convex_kk_output_lists_the_members_as_before(tmp_path, capsys, seed):
+    # seeded programs and frameworks of 0-12 atoms, each size once of each
+    rng = random.Random(seed)
+    n = seed % 13
+    if seed < 13:
+        check_convex_output(tmp_path, capsys, "lp", random_program(rng, n).to_text())
+    else:
+        check_convex_output(tmp_path, capsys, "adf", random_adf(rng, n).to_text())
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 16])
+def test_convex_kk_output_at_the_byte_boundaries_of_a_mask(tmp_path, capsys, n):
+    # masks of one byte, one bit past it and two whole bytes: a random
+    # program, and the even cycle whose result, its one iterate, holds every
+    # element; at 16 atoms, 65,536 of them, in two of the formats
+    check_convex_output(tmp_path, capsys, "lp", random_program(random.Random(n), n).to_text())
+    cycle = "".join(f"a{i} :- not a{(i + 1) % n}.\n" for i in range(n))
+    formats = CONVEX_FORMATS if n < 16 else [("json", False), ("text", True)]
+    check_convex_output(tmp_path, capsys, "lp", cycle, formats)
 
 
 def test_import_leaves_graph_library_unloaded():

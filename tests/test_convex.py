@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aft.adf import classical_operator, parse_adf
 from aft.approx import ApproxPair, precision_leq, ultimate
-from aft.bitmask import select
+from aft.bitmask import Codec, MaskSet
 from aft.convex import (
     CONVEX_LATTICE_LIMIT,
     ConvexSpace,
@@ -23,7 +23,7 @@ from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms, TooManyEl
 from aft.fixpoints import kripke_kleene
 from aft.lattice import SCAN_ATOM_LIMIT, FiniteLattice, Lattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
-from conftest import FIVE_ELEMENT_LATTICES, convex_kk_oracle, fs, hull_oracle
+from conftest import FIVE_ELEMENT_LATTICES, convex_kk_oracle, fs, hull_oracle, sets_json_oracle
 
 
 def join_a(diamond):
@@ -155,7 +155,7 @@ def test_powerset_hull_over_bitmasks_equals_the_oracle(case):
     assert Lattice.hull(lat, members) == expected
     codec = lat._codec
     closed = codec.close(sum(1 << codec.mask(x) for x in members))
-    assert frozenset(select(lat._all_subsets, closed)) == expected
+    assert MaskSet(codec, closed) == expected
 
 
 @pytest.mark.parametrize("foreign", [fs(3), fs(0, "x"), {0}, "0"], ids=repr)
@@ -192,9 +192,60 @@ class TestImageMasks:
             op = tp(parse_program(text))
         else:
             op = classical_operator(parse_adf(text))
-        deps, codec, elements = op.dependencies, op.lattice._codec, op.lattice._all_subsets
-        assert [codec.mask(x) for x in elements] == list(range(len(elements)))
+        deps, codec = op.dependencies, op.lattice._codec
+        elements = [codec.decode(m) for m in range(op.lattice.size)]
+        masks = set(range(op.lattice.size))
+        assert {codec.mask(x) for x in elements} == masks == set(map(codec.mask, op.lattice.elements))
         assert deps.image_masks() == [codec.mask(deps.image(z)) for z in elements]
+
+
+def random_bits(seed, size, density):
+    rng = random.Random(seed)
+    return int("".join("1" if rng.random() < density else "0" for _ in range(size)) or "0", 2)
+
+
+def mask_set(n, seed, density):
+    """A MaskSet over n atoms, named so that their sorted order is not their
+    numeric one, and the frozenset of its members."""
+    codec = Codec(f"x{i}" for i in range(n))
+    bits = random_bits(seed, 2**n, density)
+    members = frozenset(codec.decode(m) for m in range(2**n) if bits >> m & 1)
+    return MaskSet(codec, bits), members
+
+
+class TestMaskSet:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    def test_is_the_frozenset_of_its_members(self, n, seed, density):
+        s, members = mask_set(n, seed, density)
+        other, others = mask_set(n, seed + 1, density)
+        assert s == members and members == s and not s != members
+        assert hash(s) == hash(members) and len(s) == len(members)
+        assert sorted(map(sorted, s)) == sorted(map(sorted, members))
+        assert {s: "s"}[members] == "s" and {members: "m"}[s] == "m"
+        assert (s == other) == (members == others)
+        for x, y in ((s, other), (s, others), (members, other)):
+            plain = (frozenset(x), frozenset(y))
+            assert (x <= y, x < y, x >= y, x > y) == (
+                plain[0] <= plain[1], plain[0] < plain[1], plain[0] >= plain[1], plain[0] > plain[1]
+            )
+        assert s | others == members | others and s & other == members & others
+        for x in PowersetLattice(f"x{i}" for i in range(n)).elements:
+            assert (x in s) == (x in members)
+        for foreign in (fs("y"), "x0", 0, None):
+            assert foreign not in s
+        # equal across universes when the members are, and never to a list
+        assert (s == MaskSet(Codec(["y"]), 1)) == (members == {fs()})
+        assert s != MaskSet(Codec(["y"]), 2) and s != list(members)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.001, 0.1, 0.5, 1.0]))
+    @example(16, 1, 0.01)
+    @example(16, 2, 1.0)
+    @example(17, 3, 0.001)
+    def test_sorted_members_is_the_order_of_the_sorted_lists(self, n, seed, density):
+        s, members = mask_set(n, seed, density)
+        assert list(map(list, s.sorted_members())) == sets_json_oracle(members)
 
 
 class TestEmbedInterval:
@@ -304,6 +355,13 @@ class TestConvexKripkeKleene:
         cycle = parse_program("\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n)))
         got, trace = convex_kripke_kleene(tp(cycle))
         assert len(got) == 2**n and trace == [got]
+
+    def test_iterates_on_a_powerset_without_listing_its_elements(self, two_cycle):
+        for op in (tp(two_cycle), tp(parse_program("a :- not b.\nb :- c.\nc :- not a."))):
+            got, trace = convex_kripke_kleene(op)
+            assert all(type(s) is MaskSet for s in [got, *trace])
+            assert "elements" not in op.lattice.__dict__
+            assert (got, trace) == convex_kk_oracle(op)
 
     def test_refuses_universes_beyond_the_atom_limit(self):
         chain = "\n".join(f"a{i} :- not a{i + 1}." for i in range(SCAN_ATOM_LIMIT))

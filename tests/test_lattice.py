@@ -90,7 +90,7 @@ class TestProtocol:
         start = time.process_time()
         assert repr(lat) == f"<PowersetLattice with {2 ** 40} elements>"
         assert time.process_time() - start < 0.1
-        assert "_all_subsets" not in lat.__dict__
+        assert "elements" not in lat.__dict__
 
     def test_height_is_the_longest_chain(self, diamond):
         assert diamond.height == 2
