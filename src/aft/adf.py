@@ -15,7 +15,8 @@ text is split once into words and punctuation marks, and that list is
 read front to back, each formula with an explicit stack; only when a word
 is wrong is the text tokenized, to report the error's position.
 Conditions nested more than FORMULA_DEPTH_LIMIT connectives deep are
-refused with a ParseError.
+refused: by the reader with a ParseError, and by ``Adf`` itself, for a
+condition built in code, with a ValueError.
 
 The induced pair-space operator evaluates every condition in strong Kleene
 three-valued logic: the lower step collects statements whose condition is
@@ -110,7 +111,7 @@ Formula = Const | Var | Not | And | Or
 _KEYWORDS = {"true", "false", "neg", "and", "or"}
 _CONNECTIVES = {"neg": Not, "and": And, "or": Or}
 
-# The deepest nesting of connectives a parsed condition may have. The walks
+# The deepest nesting of connectives a condition may have. The walks
 # over a formula that recurse, converting it to text, comparing, hashing,
 # compiling and evaluating it, take up to three Python frames per level:
 # comparison passes the default limit of 1,000 frames at 331 levels, and
@@ -161,20 +162,30 @@ def eval3(formula: Formula, p: ApproxPair) -> Truth:
     return Truth.UNKNOWN
 
 
-def _formula_vars(f: Formula) -> frozenset[str]:
-    """The statements a formula mentions."""
+def _formula_vars(statement: str, f: Formula) -> frozenset[str]:
+    """The statements that ``statement``'s condition ``f`` mentions, read
+    one level of connectives at a time. A condition nested more than
+    FORMULA_DEPTH_LIMIT connectives deep is refused with a ValueError."""
     names = []
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        kind = type(f)
-        if kind is Var:
-            names.append(f.name)
-        elif kind is Not:
-            stack.append(f.child)
-        elif kind is And or kind is Or:
-            stack.append(f.left)
-            stack.append(f.right)
+    level = [f]
+    depth = 0
+    while level:
+        below = []
+        for f in level:
+            kind = type(f)
+            if kind is Var:
+                names.append(f.name)
+            elif kind is Not:
+                below.append(f.child)
+            elif kind is And or kind is Or:
+                below.append(f.left)
+                below.append(f.right)
+        depth += 1
+        if below and depth > FORMULA_DEPTH_LIMIT:
+            raise ValueError(
+                f"condition of {statement!r} nested more than {FORMULA_DEPTH_LIMIT} deep"
+            )
+        level = below
     return frozenset(names)
 
 
@@ -191,7 +202,7 @@ class Adf:
             if s not in self.conditions:
                 raise MissingCondition(s)
         # each statement's parents: the statements its condition mentions
-        self.parents = {s: _formula_vars(cond) for s, cond in self.conditions.items()}
+        self.parents = {s: _formula_vars(s, cond) for s, cond in self.conditions.items()}
         for parents in self.parents.values():
             if not parents <= self.statements:
                 raise UndeclaredStatement(min(parents - self.statements))

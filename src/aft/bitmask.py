@@ -2,15 +2,15 @@
 bitsets over those masks, inside the operations that loop over many of them.
 
 Bit i of a mask stands for the i-th atom of the universe in sorted order, and
-bit m of a bitset for the element whose mask is m. ``Codec.hull`` and
-``Dependencies.image``/``bounds`` take and return frozensets, and
-``PowersetLattice`` builds the codec the first time one of them is needed.
+bit m of a bitset for the element whose mask is m. ``Dependencies.image`` and
+``bounds`` take and return frozensets, and ``PowersetLattice`` builds the
+codec the first time an operator's dependencies or convex iteration need it.
 ``aft.convex`` iterates bitsets, built from ``Dependencies.image_masks`` and
 closed by ``Codec.close``, and returns each iterate as a ``MaskSet``: a
 read-only set that keeps the bitset and its codec, equals the frozenset of
-its members and decodes them only when iterated. The CLI lists a MaskSet's
-members with ``MaskSet.sorted_members``, from the masks and the codec's byte
-tables, without decoding them.
+its members and decodes them only when iterated or compared. The CLI lists a
+MaskSet's members with ``MaskSet.sorted_members``, from the masks and the
+codec's byte tables, without decoding them.
 """
 
 from __future__ import annotations
@@ -78,20 +78,6 @@ class Codec:
             down |= (down & has) >> step
         return up & down
 
-    @staticmethod
-    def hull(members: Iterable[frozenset]) -> frozenset:
-        """Smallest convex superset of the members: ``close`` in the codec of
-        the atoms in the members' join but not in their meet, the only atoms
-        on which elements of the hull differ, so that the bitsets grow with
-        those atoms rather than with the universe."""
-        members = list(members)
-        if not members:
-            return frozenset()
-        meet = frozenset.intersection(*members)
-        free = Codec(frozenset.union(*members) - meet)
-        closed = free.close(sum({1 << free.mask(x - meet) for x in members}))
-        return frozenset(meet | free.decode(m) for m in select(range(closed.bit_length()), closed))
-
 
 # maps the digits of ``bin`` to the bytes 0 and 1, which ``compress`` reads
 # as false and true
@@ -117,8 +103,9 @@ def bitset(positions: Iterable[int], size: int) -> int:
 class MaskSet(Set):
     """A read-only set of elements of a powerset: bit m of ``bits`` stands
     for the element whose mask in ``codec`` is m. It equals, and hashes as,
-    the frozenset of its members, and decodes them only when iterated;
-    ``sorted_members`` lists them in order without decoding them."""
+    the frozenset of its members, and decodes them only when iterated,
+    compared or hashed; ``sorted_members`` lists them in order without
+    decoding them."""
 
     __slots__ = ("codec", "bits")
 
@@ -140,27 +127,17 @@ class MaskSet(Set):
         except KeyError:  # an atom outside the universe
             return False
 
-    def _bits_of(self, other) -> int | None:
-        # the bits of a MaskSet over the same atoms, compared without decoding
-        if type(other) is MaskSet and other.codec.atoms == self.codec.atoms:
-            return other.bits
-        return None
-
-    # against any other set, the members are decoded once and compared as a
-    # frozenset, which is faster than the element-wise methods of Set; its
-    # < and > call these
+    # the members are decoded once and compared as a frozenset, which is
+    # faster than the element-wise methods of Set; its < and > call these
 
     def __le__(self, other) -> bool:
-        bits = self._bits_of(other)
-        return frozenset(self) <= other if bits is None else not self.bits & ~bits
+        return frozenset(self) <= other
 
     def __ge__(self, other) -> bool:
-        bits = self._bits_of(other)
-        return frozenset(self) >= other if bits is None else not bits & ~self.bits
+        return frozenset(self) >= other
 
     def __eq__(self, other) -> bool:
-        bits = self._bits_of(other)
-        return frozenset(self) == other if bits is None else self.bits == bits
+        return frozenset(self) == other
 
     def __hash__(self) -> int:
         return hash(frozenset(self))

@@ -173,6 +173,44 @@ def _text_lines(kind: str, entry) -> tuple[str, list[str]]:
     return _sets_text(entry["members"]), [_sets_text(s) for s in entry.get("trace", ())]
 
 
+def _text(doc: dict) -> str:
+    """The ``--format text`` view of an ``aft/1`` document, without the
+    final newline."""
+    mode = doc.get("mode")
+    if mode == "check":
+        verdicts = {None: "skipped (no base operator)", True: "ok"}
+        lines = [
+            f"{c['law']}: " + verdicts.get(c["ok"], f"FAIL  witness: {c['witness']}")
+            for c in doc["checks"]
+        ]
+    elif mode == "compare-corpus":
+        gains = doc["gains"]
+        lines = [
+            f"programs: {doc['programs']} (seed {doc['seed']})",
+            f"ultimate-kk strictly more precise than fitting-kk: {gains['ultimate_over_fitting']}",
+            "convex-kk strictly smaller than ultimate-kk interval: "
+            + str(gains["convex_over_ultimate_interval"]),
+        ]
+    elif mode == "compare":
+        gains = doc["comparison"]
+        lines = [
+            f"{label}: {_text_lines(SEMANTICS[name][0], doc[label])[0]}" for label, name in _COMPARED
+        ] + [
+            "ultimate-kk vs fitting-kk: "
+            + ("strictly more precise" if gains["ultimate_strict_gain"] else "equal"),
+            "convex-kk vs ultimate-kk interval: "
+            + ("strictly smaller" if gains["convex_strict_gain"] else "equal"),
+        ]
+    else:  # a run: one entry per semantics, in their order
+        lines = []
+        for name, entry in doc.items():
+            if name in SEMANTICS:
+                result, steps = _text_lines(SEMANTICS[name][0], entry)
+                lines.append(f"{name}: {result}")
+                lines += [f"  step {i}: {step}" for i, step in enumerate(steps)]
+    return "\n".join(lines)
+
+
 class _Quoted(dict):
     # the JSON form of each string, encoded once per document
     def __missing__(self, s: str) -> str:
@@ -261,7 +299,7 @@ def _rows_json(rows, pad: str, quoted: _Quoted) -> list[str]:
 # -- run ---------------------------------------------------------------------
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> dict:
     names = _parse_semantics(args.semantics)
     approximator = _load_frontend(args.frontend, _read_source(args.source))
     if args.validate:
@@ -272,19 +310,9 @@ def _cmd_run(args) -> int:
         kind, compute = SEMANTICS[name]
         value, trace = compute(approximator)
         doc[name] = _json_entry(kind, value, trace if args.trace else None, atoms)
-    # the document holds everything left to print; the approximator's memo
-    # and the last result go before it is encoded
-    del approximator, value, trace
-
-    if args.fmt == "json":
-        print(_json_text(doc))
-        return 0
-    for name in names:
-        result, steps = _text_lines(SEMANTICS[name][0], doc[name])
-        print(f"{name}: {result}")
-        for i, step in enumerate(steps):
-            print(f"  step {i}: {step}")
-    return 0
+    # the document holds everything left to print; returning frees the
+    # approximator's memo and the last result before it is encoded
+    return doc
 
 
 # -- check -------------------------------------------------------------------
@@ -344,7 +372,7 @@ def _load_tabulated(text: str) -> Approximator:
     return Approximator(lat, table, name="tabulated")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     text = _read_source(args.source)
     if args.frontend == "tab":
         approximator = _load_tabulated(text)
@@ -360,31 +388,19 @@ def _cmd_check(args) -> int:
         checks.append(("exact-on-diagonal", None))
     checks.append(("symmetric", is_symmetric(approximator)))
 
-    ok = all(c for _, c in checks if c is not None)
-    if args.fmt == "json":
-        doc = {
-            "schema": "aft/1",
-            "mode": "check",
-            "ok": bool(ok),
-            "checks": [
-                {
-                    "law": law,
-                    "ok": None if c is None else bool(c),
-                    "witness": None if c is None or c.holds else repr(c.witness),
-                }
-                for law, c in checks
-            ],
-        }
-        print(_json_text(doc))
-    else:
-        for law, c in checks:
-            if c is None:
-                print(f"{law}: skipped (no base operator)")
-            elif c.holds:
-                print(f"{law}: ok")
-            else:
-                print(f"{law}: FAIL  witness: {c.witness!r}")
-    return 0 if ok else 2
+    return {
+        "schema": "aft/1",
+        "mode": "check",
+        "ok": all(c for _, c in checks if c is not None),
+        "checks": [
+            {
+                "law": law,
+                "ok": None if c is None else bool(c),
+                "witness": None if c is None or c.holds else repr(c.witness),
+            }
+            for law, c in checks
+        ],
+    }
 
 
 # -- compare -----------------------------------------------------------------
@@ -406,36 +422,23 @@ def _compare_one(prog):
     }
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     if args.corpus is not None and args.source is not None:
         raise ValueError("compare takes a file or --corpus N, not both")
     if args.corpus is not None:
         if args.corpus < 0:
             raise ValueError(f"--corpus needs a count of programs, not {args.corpus}")
-        programs = random_programs(args.corpus, seed=args.seed)
-        ult_gains = 0
-        cvx_gains = 0
-        for prog in programs:
-            _, comparison = _compare_one(prog)
-            ult_gains += comparison["ultimate_strict_gain"]
-            cvx_gains += comparison["convex_strict_gain"]
-        if args.fmt == "json":
-            doc = {
-                "schema": "aft/1",
-                "mode": "compare-corpus",
-                "seed": args.seed,
-                "programs": len(programs),
-                "gains": {
-                    "ultimate_over_fitting": ult_gains,
-                    "convex_over_ultimate_interval": cvx_gains,
-                },
-            }
-            print(_json_text(doc))
-        else:
-            print(f"programs: {len(programs)} (seed {args.seed})")
-            print(f"ultimate-kk strictly more precise than fitting-kk: {ult_gains}")
-            print(f"convex-kk strictly smaller than ultimate-kk interval: {cvx_gains}")
-        return 0
+        comparisons = [_compare_one(p)[1] for p in random_programs(args.corpus, seed=args.seed)]
+        return {
+            "schema": "aft/1",
+            "mode": "compare-corpus",
+            "seed": args.seed,
+            "programs": len(comparisons),
+            "gains": {
+                "ultimate_over_fitting": sum(c["ultimate_strict_gain"] for c in comparisons),
+                "convex_over_ultimate_interval": sum(c["convex_strict_gain"] for c in comparisons),
+            },
+        }
 
     if args.source is None:
         raise ValueError("compare needs a file or --corpus N")
@@ -446,20 +449,7 @@ def _cmd_compare(args) -> int:
     for (label, name), value in zip(_COMPARED, values):
         doc[label] = _json_entry(SEMANTICS[name][0], value, None, atoms)
     doc["comparison"] = comparison
-    if args.fmt == "json":
-        print(_json_text(doc))
-        return 0
-    for label, name in _COMPARED:
-        print(f"{label}: {_text_lines(SEMANTICS[name][0], doc[label])[0]}")
-    print(
-        "ultimate-kk vs fitting-kk: "
-        + ("strictly more precise" if comparison["ultimate_strict_gain"] else "equal")
-    )
-    print(
-        "convex-kk vs ultimate-kk interval: "
-        + ("strictly smaller" if comparison["convex_strict_gain"] else "equal")
-    )
-    return 0
+    return doc
 
 
 # -- entry -------------------------------------------------------------------
@@ -506,9 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        doc = args.func(args)
+        print(_json_text(doc) if args.fmt == "json" else _text(doc))
         sys.stdout.flush()
-        return code
+        # a check that failed a law
+        return 2 if doc.get("ok") is False else 0
     except OSError as exc:
         # a failed write; what is still buffered goes nowhere, so the flush at
         # exit cannot fail again, and a reader that closed stdout hears nothing

@@ -60,9 +60,9 @@ def is_convex(lattice: Lattice, members: Iterable) -> LawCheck:
 
 def hull(lattice: Lattice, members: Iterable) -> ConvexSet:
     """Smallest convex superset: everything bounded by members on both sides.
-    Each kind of lattice computes it (``Lattice.hull``): an explicit lattice
-    by walking covers, a powerset by closing a bitset of the members' masks
-    with shifts."""
+    ``Lattice.hull`` computes it by walking covers on every kind of lattice,
+    and refuses members that leave more than SCAN_ATOM_LIMIT atoms between
+    their meet and their join."""
     return lattice.hull(members)
 
 

@@ -78,10 +78,10 @@ class Lattice:
     Each kind supplies its primitives: ``bottom``, ``top``, ``elements``,
     ``size``, ``height`` (the number of steps in a longest chain), ``has``,
     ``leq``, ``lub``, ``glb``, ``interval``, ``up_covers`` and
-    ``down_covers``. Everything else is derived here from those, once;
+    ``down_covers``. Everything else is derived here from those, once.
     ``atoms_between`` and ``split`` are derived by enumerating an interval,
-    and ``hull`` by walking covers, which a kind may replace with something
-    cheaper.
+    which a kind may replace with something cheaper; ``hull`` walks covers
+    for every kind.
     """
 
     def check_element(self, x: Element) -> Element:
@@ -112,11 +112,14 @@ class Lattice:
         up-covers, and dually below; their intersection is the hull. Only
         elements below the members' join can lie below a member, and only
         those above their meet above one, which prunes each closure.
+        Members that leave more than SCAN_ATOM_LIMIT atoms between their
+        meet and their join are refused with TooManyAtoms before the walk.
         """
         s = frozenset(self.check_element(x) for x in members)
         if not s:
             return frozenset()
         join, meet = self.lub(s), self.glb(s)
+        check_atoms(self, SCAN_ATOM_LIMIT, "hull", (meet, join))
         up = _cover_closure(s, self.up_covers, lambda y: self.leq(y, join))
         down = _cover_closure(s, self.down_covers, lambda y: self.leq(meet, y))
         return frozenset(up & down)
@@ -328,9 +331,9 @@ class PowersetLattice(Lattice):
 
     Meets, joins and order tests are plain set operations, so nothing is
     materialized until something genuinely enumerates the elements (scans,
-    exhaustive law checks). The per-atom evaluation of operators, the hull
-    and convex iteration work on int bitmasks of the elements and bitsets of
-    those, inside ``aft.bitmask``.
+    exhaustive law checks). The per-atom evaluation of operators and convex
+    iteration work on int bitmasks of the elements and bitsets of those,
+    inside ``aft.bitmask``; the hull is the cover walk of ``Lattice``.
     """
 
     def __init__(self, universe: Iterable):
@@ -340,11 +343,7 @@ class PowersetLattice(Lattice):
 
     @cached_property
     def elements(self) -> frozenset:
-        members = [frozenset()]
-        for a in sorted(self.universe):
-            atom = frozenset((a,))
-            members += [m | atom for m in members]
-        return frozenset(members)
+        return self.interval(self.bottom, self.top)
 
     @property
     def size(self) -> int:
@@ -381,7 +380,8 @@ class PowersetLattice(Lattice):
             return frozenset()
         members = [x]
         for a in sorted(y - x):
-            members += [m | {a} for m in members]
+            atom = frozenset((a,))
+            members += [m | atom for m in members]
         return frozenset(members)
 
     def up_covers(self, x) -> frozenset:
@@ -398,15 +398,6 @@ class PowersetLattice(Lattice):
         false."""
         p = min(y - x)
         return [(x | {p}, y), (x, y - {p})]
-
-    def hull(self, members) -> frozenset:
-        """Smallest convex superset, a bitset of the members' masks closed
-        by shifts (``Codec.hull``). Members that leave more than
-        SCAN_ATOM_LIMIT atoms free, in their join but not in their meet,
-        are refused with TooManyAtoms."""
-        members = [self.check_element(x) for x in members]
-        check_atoms(self, SCAN_ATOM_LIMIT, "hull", (self.glb(members), self.lub(members)))
-        return Codec.hull(members)
 
     @cached_property
     def _codec(self) -> Codec:

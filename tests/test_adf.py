@@ -493,6 +493,37 @@ def test_generated_frameworks_round_trip_and_verify(conditions):
     assert is_exact_approximator(a)
 
 
+def nested_condition(depth, mixed):
+    """A condition built in code, ``depth`` connectives deep over a: neg
+    alone, or neg, and, or in turn as in ``nested_adf``."""
+    f = Var("a")
+    for k in range(depth):
+        if not mixed or k % 3 == 0:
+            f = Not(f)
+        else:
+            f = And(f, Var("b")) if k % 3 == 1 else Or(Var("b"), f)
+    return f
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["neg", "mixed"])
+def test_a_condition_built_in_code_as_deep_as_the_limit_is_kept(mixed):
+    framework = Adf(["a", "b"], {"a": nested_condition(FORMULA_DEPTH_LIMIT, mixed), "b": Not(Var("a"))})
+    if mixed:
+        assert framework == parse_adf(nested_adf(FORMULA_DEPTH_LIMIT))
+    assert parse_adf(framework.to_text()) == framework
+    a = adf_approximator(framework)
+    pair, _ = well_founded(a)
+    assert a.apply(pair.lower, pair.upper) == (pair.lower, pair.upper)
+
+
+@pytest.mark.parametrize("depth", [FORMULA_DEPTH_LIMIT + 1, 2000])
+@pytest.mark.parametrize("mixed", [False, True], ids=["neg", "mixed"])
+def test_a_condition_built_in_code_past_the_limit_is_refused(mixed, depth):
+    # refused on construction, before any walk that recurses could fail
+    with pytest.raises(ValueError, match=f"^condition of 'a' nested more than {FORMULA_DEPTH_LIMIT} deep$"):
+        Adf(["a", "b"], {"a": nested_condition(depth, mixed), "b": Not(Var("a"))})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 4))
 def test_truth_support_agrees_with_the_two_bit_reading(seed, n, depth):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import aft
 from aft.adf import FORMULA_DEPTH_LIMIT, Adf, classical_operator, parse_adf
-from aft.cli import _json_text, build_parser, main
+from aft.cli import _json_text, _text, build_parser, main
 from aft.convex import convex_kripke_kleene
 from aft.corpus import random_adf, random_formula, random_program
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
@@ -460,20 +460,65 @@ JSON_PATHS = [
 ]
 
 
-@pytest.mark.parametrize("argv", JSON_PATHS, ids=" ".join)
-def test_json_output_is_the_standard_encoding(tmp_path, capsys, argv):
+def json_path_argv(tmp_path, argv):
+    """``argv``, a row of JSON_PATHS, with its files written under tmp_path."""
     files = {
         "lp": write(tmp_path, "sep.lp", SEPARATOR),
         "adf": write(tmp_path, "abc.adf", ABC_ADF),
         "deep": write(tmp_path, "deep.adf", nested_adf(FORMULA_DEPTH_LIMIT)),
         "tab": write(tmp_path, "swap.json", json.dumps(SWAP_TABLE)),
     }
-    code, out, _ = run(capsys, *(a.format(**files) for a in argv), "--format", "json")
+    return [a.format(**files) for a in argv]
+
+
+@pytest.mark.parametrize("argv", JSON_PATHS, ids=" ".join)
+def test_json_output_is_the_standard_encoding(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *json_path_argv(tmp_path, argv), "--format", "json")
     # the swap table fails a law, and its witness is printed
     assert code == (2 if "{tab}" in argv else 0)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     if "{tab}" in argv:
         assert json.loads(out)["checks"][0]["witness"] is not None
+
+
+@pytest.mark.parametrize("argv", JSON_PATHS, ids=" ".join)
+def test_text_output_is_the_view_of_the_json_document(tmp_path, capsys, argv):
+    argv = json_path_argv(tmp_path, argv)
+    json_code, json_out, json_err = run(capsys, *argv, "--format", "json")
+    text_code, text_out, text_err = run(capsys, *argv, "--format", "text")
+    assert (text_code, text_err) == (json_code, json_err)
+    assert text_out == _text(json.loads(json_out)) + "\n"
+
+
+# the text of a failed check and of a corpus comparison, line for line:
+# argv, exit code and output
+PINNED_COMMAND_TEXT = {
+    "check-tab-swap": (
+        ["check", "tab", "{tab}"],
+        2,
+        """\
+precision-monotone: FAIL  witness: ((frozenset(), frozenset()), (frozenset({'p'}), frozenset()))
+approximates-operator: skipped (no base operator)
+exact-on-diagonal: skipped (no base operator)
+symmetric: ok
+""",
+    ),
+    "compare-corpus-5-seed-7": (
+        ["compare", "--corpus", "5", "--seed", "7"],
+        0,
+        """\
+programs: 5 (seed 7)
+ultimate-kk strictly more precise than fitting-kk: 0
+convex-kk strictly smaller than ultimate-kk interval: 2
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COMMAND_TEXT)
+def test_command_text_is_pinned(tmp_path, capsys, name):
+    argv, code, text = PINNED_COMMAND_TEXT[name]
+    assert run(capsys, *json_path_argv(tmp_path, argv)) == (code, text, "")
 
 
 CONVEX_FORMATS = [("json", False), ("json", True), ("text", False), ("text", True)]
