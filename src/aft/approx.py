@@ -164,8 +164,9 @@ class Approximator:
         else:
             self._fn = mapping
         self._memo: dict[RawPair, RawPair] = {}
-        # construction name -> (fixpoint, trace), filled by ``fixpoints``
-        self._fixpoints: dict[str, tuple[ApproxPair, list[ApproxPair]]] = {}
+        # construction name, or name and start pair -> (fixpoint, trace),
+        # filled by ``fixpoints``
+        self._fixpoints: dict[object, tuple[ApproxPair, list[ApproxPair]]] = {}
 
     def apply(self, lower: Element, upper: Element) -> RawPair:
         key = (lower, upper)

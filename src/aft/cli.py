@@ -56,20 +56,37 @@ from .lattice import PowersetLattice
 from .lp import fitting, parse_program, program_lattice
 
 # Each semantics by name, in output order: the kind of its result and a
-# function approximator -> (result, trace or None). A "pair" is an ApproxPair,
+# function request -> (result, trace or None). A "pair" is an ApproxPair,
 # "sets" a set of elements, "pairs" a set of ApproxPairs and "convex" a convex
 # set. The functions look the engine's names up when called, so a module
 # global replaced after import (by a tracer, say) is the one used.
 SEMANTICS = {
-    "kk": ("pair", lambda a: kripke_kleene(a)),
-    "wf": ("pair", lambda a: well_founded(a)),
-    "supported": ("sets", lambda a: (supported_fixpoints(a), None)),
-    "stable": ("sets", lambda a: (stable_models(a), None)),
-    "partial-stable": ("pairs", lambda a: (partial_stable_fixpoints(a), None)),
-    "ultimate-kk": ("pair", lambda a: kripke_kleene(ultimate(a.operator))),
-    "ultimate-wf": ("pair", lambda a: well_founded(ultimate(a.operator))),
-    "convex-kk": ("convex", lambda a: convex_kripke_kleene(a.operator)),
+    "kk": ("pair", lambda r: kripke_kleene(r.approximator)),
+    "wf": ("pair", lambda r: well_founded(r.approximator, trace=r.trace)),
+    "supported": ("sets", lambda r: (supported_fixpoints(r.approximator), None)),
+    "stable": ("sets", lambda r: (stable_models(r.approximator), None)),
+    "partial-stable": ("pairs", lambda r: (partial_stable_fixpoints(r.approximator), None)),
+    "ultimate-kk": ("pair", lambda r: kripke_kleene(r.ultimate)),
+    "ultimate-wf": ("pair", lambda r: well_founded(r.ultimate, trace=r.trace)),
+    "convex-kk": ("convex", lambda r: convex_kripke_kleene(r.approximator.operator)),
 }
+
+
+class Request:
+    """What the semantics of one request share: the approximator, whether
+    traces are printed, and the ultimate approximator of its operator, built
+    on first use, so that ``ultimate-kk`` and ``ultimate-wf`` share its memo
+    and remembered fixpoints. Nothing outlives the request."""
+
+    def __init__(self, approximator: Approximator, trace: bool = False):
+        self.approximator = approximator
+        self.trace = trace
+
+    @functools.cached_property
+    def ultimate(self) -> Approximator:
+        # the module's ``ultimate``, looked up when called
+        return ultimate(self.approximator.operator)
+
 
 _INPUT_ERRORS = (
     ParseError,
@@ -306,12 +323,13 @@ def _cmd_run(args) -> dict:
         verify_approximator(approximator)
     atoms = sorted(approximator.lattice.universe)
     doc: dict = {"schema": "aft/1", "frontend": args.frontend, "atoms": atoms}
+    request = Request(approximator, args.trace)
     for name in names:
         kind, compute = SEMANTICS[name]
-        value, trace = compute(approximator)
+        value, trace = compute(request)
         doc[name] = _json_entry(kind, value, trace if args.trace else None, atoms)
     # the document holds everything left to print; returning frees the
-    # approximator's memo and the last result before it is encoded
+    # approximators' memos and the last result before it is encoded
     return doc
 
 
@@ -410,8 +428,8 @@ _COMPARED = (("fitting-kk", "kk"), ("ultimate-kk", "ultimate-kk"), ("convex-kk",
 
 
 def _compare_one(prog):
-    approximator = fitting(prog, program_lattice(prog))
-    values = [SEMANTICS[name][1](approximator)[0] for _, name in _COMPARED]
+    request = Request(fitting(prog, program_lattice(prog)))
+    values = [SEMANTICS[name][1](request)[0] for _, name in _COMPARED]
     kk_fit, kk_ult, kk_cvx = values
     interval_ult = embed_interval(kk_ult)
     return values, {

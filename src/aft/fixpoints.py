@@ -31,6 +31,17 @@ trace list. The pairs of traces and results are built from values that
 ``apply`` or the revision hook has already checked, and are not checked
 again.
 
+The well-founded fixpoint is the precision-least fixpoint of the stable
+operator, and the Kripke-Kleene fixpoint lies below it in precision and
+below its own stable revision (Denecker, Marek and Truszczynski 2000 and
+2004; the argument is in ``well_founded``). So when no trace is wanted, as
+for the searches and scans here and for an untraced command-line request,
+the well-founded iteration starts from the Kripke-Kleene fixpoint. Where
+that decides every atom, as on a negation chain, the iteration is one
+application of the stable operator, and the walk from (bottom, top) one per
+layer of the chain. A traced request still walks from (bottom, top), and
+each start is remembered apart.
+
 Supported fixpoints and stable models are found by propagate, prune and
 branch. Every fixed exact pair of a precision-monotone approximator refines
 the Kripke-Kleene fixpoint, and inside any pair (l, u) also A(l, u); every
@@ -50,17 +61,22 @@ from .errors import InconsistentPair, StableRevisionUndefined
 from .lattice import SCAN_ATOM_LIMIT, Element, check_atoms, iterate
 
 
-def _pair_trace(a: Approximator, step, what: str) -> tuple[ApproxPair, list[ApproxPair]]:
+def _pair_trace(
+    a: Approximator, step, what: str, start=None
+) -> tuple[ApproxPair, list[ApproxPair]]:
     """The last pair and the trace of ``step`` iterated on raw pairs from
-    (bottom, top), computed once per approximator and ``what``; a strictly
-    precision-increasing chain of pairs climbs at most the lattice height in
-    each bound, which sizes the guard."""
-    known = a._fixpoints.get(what)
+    ``start``, by default (bottom, top), computed once per approximator,
+    ``what`` and start; a strictly precision-increasing chain of pairs climbs
+    at most the lattice height in each bound, which sizes the guard."""
+    key = what if start is None else (what, start)
+    known = a._fixpoints.get(key)
     if known is None:
         lat = a.lattice
-        raw = iterate(step, (lat.bottom, lat.top), 2 * lat.height + 1, what)
+        if start is None:
+            start = (lat.bottom, lat.top)
+        raw = iterate(step, start, 2 * lat.height + 1, what)
         trace = [_known_pair(lat, lo, hi) for lo, hi in raw]
-        known = a._fixpoints[what] = (trace[-1], trace)
+        known = a._fixpoints[key] = (trace[-1], trace)
     return known[0], list(known[1])
 
 
@@ -185,12 +201,14 @@ def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     so a fixpoint with lower lo can only have the upper revision at lo as its
     upper: the scan visits each lower once, not each consistent pair. The
     approximator must be precision-monotone: every fixpoint then refines the
-    well-founded one, so only lowers between its bounds are visited. Pairs
-    whose stable revision is undefined (possible only for
-    consistency-restricted approximators) are simply not fixpoints.
+    well-founded one, so only lowers between its bounds are visited. That
+    bound is iterated from the Kripke-Kleene fixpoint unless already known
+    (``well_founded`` without a trace). Pairs whose stable revision is
+    undefined (possible only for consistency-restricted approximators) are
+    simply not fixpoints.
     """
     lat = a.lattice
-    wf, _ = well_founded(a)
+    wf, _ = well_founded(a, trace=False)
     check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan", wf.raw())
     found = []
     for lo in lat.interval(wf.lower, wf.upper):
@@ -225,10 +243,12 @@ def stable_models(a: Approximator) -> frozenset[Element]:
     The approximator must be precision-monotone: every stable model then
     refines its well-founded fixpoint and, inside any pair, the pair's
     stable revision (Denecker, Marek and Truszczynski 2000), so the search
-    starts at the former and propagates with ``_stable_bounds``.
+    starts at the former and propagates with ``_stable_bounds``. The
+    well-founded fixpoint is iterated from the Kripke-Kleene one unless
+    already known (``well_founded`` without a trace).
     """
     lat = a.lattice
-    wf, _ = well_founded(a)
+    wf, _ = well_founded(a, trace=False)
     check_atoms(lat, SCAN_ATOM_LIMIT, "stable scan", wf.raw())
     return _search(
         a,
@@ -238,10 +258,34 @@ def stable_models(a: Approximator) -> frozenset[Element]:
     )
 
 
-def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
-    """The precision-least fixpoint of the stable operator, with its trace,
-    by iterating the stable operator from (bottom, top). The approximator
-    remembers the result, so a later call iterates no more."""
+def well_founded(a: Approximator, *, trace: bool = True) -> tuple[ApproxPair, list[ApproxPair]]:
+    """The precision-least fixpoint of the stable operator, with its trace.
+
+    With ``trace`` set the stable operator is iterated from (bottom, top),
+    the walk the command line prints. Without it the iteration starts from
+    the Kripke-Kleene fixpoint, which reaches the same pair in fewer steps:
+    on a program that kk decides, one. The trace returned is the walk made,
+    so its length counts the steps taken. A pair already remembered from
+    bottom is returned without iterating; each start is remembered apart.
+
+    Why both starts end at the same pair, for a precision-monotone A, kk its
+    Kripke-Kleene fixpoint and S its stable operator (Denecker, Marek and
+    Truszczynski, "Approximations, stable operators, well-founded fixpoints
+    and applications in nonmonotonic reasoning", 2000, and "Ultimate
+    approximation and its application in nonmonotonic knowledge
+    representation systems", Inf. Comput. 2004):
+
+    - each kk iterate's lower bound lies below L, the least fixpoint of
+      z -> A(z, kk.upper).lower, by induction: the iterates' upper bounds
+      all lie above kk.upper, so precision-monotonicity puts the next lower
+      bound below A(L, kk.upper).lower = L. So kk.lower <= S(kk).lower = L;
+    - kk.upper is a fixpoint of z -> A(kk.lower, z).upper, and lies in
+      [kk.lower, top], where a consistency-restricted A iterates from; so
+      S(kk).upper, the least fixpoint there, lies below kk.upper;
+    - so kk is below S(kk) in precision. S is precision-monotone, and wf,
+      being a fixpoint of A, lies above kk; so the iteration from kk rises,
+      stays below wf, and stops at a fixpoint of S, which can only be wf.
+    """
 
     def step(p):
         out = _stable_raw(a, *p)
@@ -249,4 +293,7 @@ def well_founded(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
             raise StableRevisionUndefined(p, "well-founded iteration left the consistent region")
         return out
 
-    return _pair_trace(a, step, f"well-founded iteration of {a.name}")
+    what = f"well-founded iteration of {a.name}"
+    if trace or what in a._fixpoints:
+        return _pair_trace(a, step, what)
+    return _pair_trace(a, step, what, kripke_kleene(a)[0].raw())

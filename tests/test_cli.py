@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aft
-from aft.adf import FORMULA_DEPTH_LIMIT, Adf, classical_operator, parse_adf
+from aft.adf import FORMULA_DEPTH_LIMIT, Adf, classical_operator, parse_adf, program_to_adf
 from aft.cli import _json_text, _text, build_parser, main
 from aft.convex import convex_kripke_kleene
 from aft.corpus import random_adf, random_formula, random_program
@@ -378,6 +378,90 @@ class TestUltimateAtScale:
             ult = doc[f"ultimate-{name}"]
             assert set(doc[name]["lower"]) <= set(ult["lower"])
             assert set(ult["upper"]) <= set(doc[name]["upper"])
+
+
+class TestWellFoundedSeededFromKripkeKleene:
+    # an untraced wf starts from kk, which decides the negation chain; a
+    # traced one still walks from all-unknown
+    CHAIN_1 = "a0.\na1 :- a0, not b0.\nb0 :- not a0.\n"
+    WALK = [
+        ([], ["a0", "a1", "b0"]),
+        (["a0"], ["a0", "a1", "b0"]),
+        (["a0"], ["a0", "a1"]),
+        (["a0", "a1"], ["a0", "a1"]),
+    ]
+    WALK_TEXT = """\
+  step 0: a0: unknown, a1: unknown, b0: unknown
+  step 1: a0: true, a1: unknown, b0: unknown
+  step 2: a0: true, a1: unknown, b0: false
+  step 3: a0: true, a1: true, b0: false
+"""
+    NAMES = ("kk", "wf", "ultimate-kk", "ultimate-wf")
+
+    @staticmethod
+    def pair(lower, upper):
+        assignment = {
+            a: "true" if a in lower else "unknown" if a in upper else "false"
+            for a in ("a0", "a1", "b0")
+        }
+        return {"lower": lower, "upper": upper, "assignment": assignment}
+
+    def test_traced_json_walks_from_all_unknown(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.lp", self.CHAIN_1)
+        semantics = ",".join(self.NAMES)
+        code, out, err = run(capsys, "lp", path, "--semantics", semantics, "--trace", "--format", "json")
+        entry = {**self.pair(*self.WALK[-1]), "trace": [self.pair(*p) for p in self.WALK]}
+        doc = {"schema": "aft/1", "frontend": "lp", "atoms": ["a0", "a1", "b0"]}
+        doc.update((name, entry) for name in self.NAMES)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_traced_text_walks_from_all_unknown(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.lp", self.CHAIN_1)
+        code, out, err = run(capsys, "lp", path, "--semantics", ",".join(self.NAMES), "--trace")
+        result = "a0: true, a1: true, b0: false\n"
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{name}: {result}{self.WALK_TEXT}" for name in self.NAMES)
+
+    @pytest.mark.parametrize("frontend", ["lp", "adf"])
+    def test_untraced_wf_and_stable_on_the_chain_apply_the_stable_operator_twice(
+        self, tmp_path, capsys, monkeypatch, frontend
+    ):
+        # one application confirms kk as the well-founded fixpoint, and one
+        # accepts it as the one stable model; from bottom wf took one per layer
+        text = negation_chain(165)
+        if frontend == "adf":
+            text = program_to_adf(parse_program(text)).to_text()
+        path = write(tmp_path, f"chain.{frontend}", text)
+        calls = []
+        stable_raw = aft.fixpoints._stable_raw
+        monkeypatch.setattr(
+            aft.fixpoints, "_stable_raw", lambda *args: calls.append(args) or stable_raw(*args)
+        )
+        code, out, err = run(capsys, frontend, path, "--semantics", "wf,stable", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["stable"] == [doc["wf"]["lower"]] and len(doc["wf"]["lower"]) == 166
+        assert len(calls) == 2
+
+    def test_untraced_ultimate_wf_on_the_331_atom_chain_shares_ultimate_kk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write(tmp_path, "chain.lp", negation_chain(165))
+        built = []
+        make = aft.cli.ultimate
+        monkeypatch.setattr(aft.cli, "ultimate", lambda op: built.append(make(op)) or built[-1])
+        start = time.process_time()
+        code, out, err = run(
+            capsys, "lp", path, "--semantics", "kk,ultimate-kk,ultimate-wf", "--format", "json"
+        )
+        assert time.process_time() - start < 3.0
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["ultimate-wf"] == doc["ultimate-kk"] == doc["kk"]
+        # one ultimate approximator for both; from bottom its wf left 27,888
+        # memo entries
+        assert len(built) == 1 and len(built[0]._memo) < 1000
 
 
 def untraced_doc(doc):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from aft import fixpoints
 from aft.adf import adf_approximator, adf_lattice, classical_operator, program_to_adf
 from aft.approx import Approximator, ApproxPair, dual, precision_leq, ultimate
-from aft.cli import SEMANTICS
+from aft.cli import SEMANTICS, Request
 from aft.corpus import random_adf, random_adfs, random_program, random_programs
 from aft.errors import (
     DivergenceGuard,
@@ -35,7 +35,15 @@ from aft.lattice import (
     iterate,
     lfp,
 )
-from aft.lp import fitting, parse_program, program_lattice, stable_models_oracle, tp
+from aft.lp import (
+    LogicProgram,
+    Rule,
+    fitting,
+    parse_program,
+    program_lattice,
+    stable_models_oracle,
+    tp,
+)
 from conftest import (
     DEFINITE,
     FIVE_ELEMENT_LATTICES,
@@ -164,7 +172,7 @@ class TestClassicPrograms:
         a = fitting(prog, lat)
         names = ("kk", "wf", "supported", "partial-stable", "stable")
         (kk, kk_trace), (wf, _), (supported, _), (partial, _), (stable, _) = (
-            SEMANTICS[name][1](a) for name in names
+            SEMANTICS[name][1](Request(a)) for name in names
         )
         assert kk.raw() == expected["kk"]
         assert wf.raw() == expected["wf"]
@@ -446,6 +454,79 @@ class TestRememberedFixpoints:
         assert supported_fixpoints(a) == {kk.lower}
         # one application: the fixpoint check of the exact start
         assert calls == [(kk.lower, kk.upper)]
+
+
+def with_positive_loops(prog, rng):
+    """The program with a rule p :- q added for about a third of its atoms p,
+    q drawn among them, p included: loops that kk leaves unknown and wf
+    makes false, so that the two fixpoints differ."""
+    atoms = sorted(prog.atoms)
+    loops = [Rule(p, frozenset({rng.choice(atoms)})) for p in atoms if rng.random() < 1 / 3]
+    return LogicProgram([*prog.rules, *loops])
+
+
+class TestWellFoundedFromKripkeKleene:
+    """Without a trace the well-founded iteration starts from the
+    Kripke-Kleene fixpoint, and must end where the walk from (bottom, top)
+    ends; the searches and scans that start from it must keep their results."""
+
+    @staticmethod
+    def check(make):
+        # a fresh approximator per path, so that none reuses another's pair
+        seeded = make()
+        wf, trace = well_founded(seeded, trace=False)
+        assert trace[0] == kripke_kleene(seeded)[0] and trace[-1] == wf
+        assert wf == well_founded(make())[0]
+        assert stable_models(make()) == stable_oracle(make())
+        assert partial_stable_fixpoints(make()) == partial_stable_oracle(make())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_on_programs_with_positive_loops(self, seed, n_atoms):
+        rng = random.Random(seed)
+        prog = with_positive_loops(random_program(rng, n_atoms), rng)
+        lat = program_lattice(prog)
+        self.check(lambda: fitting(prog, lat))
+        self.check(lambda: ultimate(tp(prog, lat)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_on_frameworks(self, seed, n_statements):
+        framework = random_adf(random.Random(seed), n_statements)
+        self.check(lambda: adf_approximator(framework))
+        self.check(lambda: ultimate(adf_approximator(framework).operator))
+
+    def test_positive_loop_takes_one_step_from_kk(self):
+        a = fitting(parse_program(POS_LOOP))
+        kk, _ = kripke_kleene(a)
+        wf, trace = well_founded(a, trace=False)
+        assert kk.raw() == (fs(), fs("p")) and wf.raw() == (fs(), fs())
+        assert trace == [kk, wf]
+        # the walk from bottom is remembered apart, and is the traced one
+        assert well_founded(a)[1][0].raw() == (fs(), fs("p"))
+
+    def test_a_decided_chain_takes_one_stable_step(self, monkeypatch):
+        a = fitting(chain_program(165))
+        calls = []
+        stable_raw = fixpoints._stable_raw
+        monkeypatch.setattr(
+            fixpoints,
+            "_stable_raw",
+            lambda a, lo, hi: calls.append((lo, hi)) or stable_raw(a, lo, hi),
+        )
+        wf, trace = well_founded(a, trace=False)
+        assert wf.exact and trace == [wf]
+        assert calls == [wf.raw()]
+        # remembered: a second untraced call iterates no more
+        assert well_founded(a, trace=False) == (wf, [wf]) and len(calls) == 1
+
+    def test_a_walk_from_bottom_already_made_is_returned(self, monkeypatch):
+        a = fitting(chain_program(3))
+        wf, walk = well_founded(a)
+        calls = []
+        monkeypatch.setattr(fixpoints, "_stable_raw", lambda *args: calls.append(args))
+        assert well_founded(a, trace=False) == (wf, walk)
+        assert calls == []
 
 
 class TestPartialStableScan:
