@@ -151,7 +151,8 @@ class Approximator:
         # the stable operator asks for the same revision again within a few
         # calls: at lower and upper of an exact pair, at the bound a
         # well-founded step left unchanged, and at a candidate's lower in the
-        # partial-stable scan; a few entries catch these without a growing memo
+        # partial-stable search; a few entries catch these without a growing
+        # memo
         self.revision = None
         if revision is not None:
             check = lattice.check_element

@@ -14,9 +14,9 @@ last four results), and otherwise iterating a projection of the
 approximator, as for ``ultimate``, ``dual`` and tabulated ones. A revision
 of a consistency-restricted approximator is undefined once an iterate
 leaves the consistent region, which ``Approximator.apply`` detects.
-Partial stable pairs are found by a scan over lowers: the upper revision
-depends on the lower bound alone, so each lower has a single candidate
-upper.
+The upper revision depends on the lower bound alone, so each lower has a
+single candidate upper, and partial stable pairs are found by a search
+over lowers.
 
 The Kripke-Kleene and well-founded iterations and the iterated revisions
 all run through ``aft.lattice.iterate``: the outer ones bounded by twice the
@@ -25,7 +25,7 @@ DivergenceGuard, and the cycle, at the first revisited value.
 Iteration traces are first-class outputs: each construction returns the full
 precision-increasing sequence it walked, which the command line can replay.
 Each approximator remembers its Kripke-Kleene and well-founded fixpoints
-once computed, so the searches and scans that start from them, and a
+once computed, so the searches that start from them, and a
 second request for either, do not iterate again; every call gets its own
 trace list. The pairs of traces and results are built from values that
 ``apply`` or the revision hook has already checked, and are not checked
@@ -35,23 +35,26 @@ The well-founded fixpoint is the precision-least fixpoint of the stable
 operator, and the Kripke-Kleene fixpoint lies below it in precision and
 below its own stable revision (Denecker, Marek and Truszczynski 2000 and
 2004; the argument is in ``well_founded``). So when no trace is wanted, as
-for the searches and scans here and for an untraced command-line request,
+for the searches here and for an untraced command-line request,
 the well-founded iteration starts from the Kripke-Kleene fixpoint. Where
 that decides every atom, as on a negation chain, the iteration is one
 application of the stable operator, and the walk from (bottom, top) one per
 layer of the chain. A traced request still walks from (bottom, top), and
 each start is remembered apart.
 
-Supported fixpoints and stable models are found by propagate, prune and
-branch. Every fixed exact pair of a precision-monotone approximator refines
-the Kripke-Kleene fixpoint, and inside any pair (l, u) also A(l, u); every
-stable model refines the well-founded fixpoint, and inside (l, u) also the
-stable revision of (l, u) (Denecker, Marek and Truszczynski 2000). So each
-search starts from its bound, narrows a pair with A or the stable revision
-until it stops changing, and then splits it on one unknown atom; exact
-pairs are kept only after the full fixpoint check. The two searches and
-the partial stable scan, which visits the lowers between the well-founded
-bounds, refuse more than SCAN_ATOM_LIMIT atoms left unknown by their bound.
+Supported fixpoints, stable models and the lowers of partial stable pairs
+are found by propagate, prune and branch. Every fixed exact pair of a
+precision-monotone approximator refines the Kripke-Kleene fixpoint, and
+inside any pair (l, u) also A(l, u); every stable model refines the
+well-founded fixpoint, and inside (l, u) also the stable revision of
+(l, u); and the lower of every partial stable pair lies between the
+well-founded bounds and is a fixpoint of the lower revision after the
+upper one, a monotone map, which bounds it inside (l, u) (Denecker, Marek
+and Truszczynski 2000; see ``_partial_stable_bounds``). So each search
+starts from its bound, narrows a pair until it stops changing, and then
+splits it on one unknown atom; exact pairs are kept only after the full
+fixpoint check. The three searches refuse more than SCAN_ATOM_LIMIT atoms
+left unknown by their bound.
 """
 
 from __future__ import annotations
@@ -194,28 +197,51 @@ def stable_operator(a: Approximator, p: ApproxPair) -> ApproxPair:
     return _known_pair(a.lattice, *out)
 
 
+def _partial_stable_bounds(a: Approximator, lower: Element, upper: Element):
+    """A pair between whose bounds the lower of every partial stable pair
+    with its lower between lower and upper lies.
+
+    Write U and L for the upper and lower revisions. A partial stable pair
+    (x, y) has y = U(x) and x = L(y), and for a precision-monotone
+    approximator both revisions are antitone, so x is a fixpoint of the
+    monotone map T = L o U, and consistency gives x <= U(x) <= U(lower). So
+    x lies between T(lower) and the meet of T(upper) and U(lower). A
+    consistency-restricted approximator iterates its upper revision from x,
+    which the antitone argument does not cover; there the pair itself is
+    returned, which narrows nothing.
+    """
+    if a.consistent_only:
+        return (lower, upper)
+    up = _revision(a, lower, False)
+    below = _revision(a, _revision(a, upper, False), True)
+    return (_revision(a, up, True), a.lattice.glb((below, up)))
+
+
 def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
     """All consistent pairs the stable operator leaves fixed.
 
     The upper half of the stable revision of (lo, hi) depends on lo alone,
     so a fixpoint with lower lo can only have the upper revision at lo as its
-    upper: the scan visits each lower once, not each consistent pair. The
+    upper: the search is over lowers, not over consistent pairs. The
     approximator must be precision-monotone: every fixpoint then refines the
-    well-founded one, so only lowers between its bounds are visited. That
-    bound is iterated from the Kripke-Kleene fixpoint unless already known
-    (``well_founded`` without a trace). Pairs whose stable revision is
-    undefined (possible only for consistency-restricted approximators) are
-    simply not fixpoints.
+    well-founded one, so the search starts there and narrows with
+    ``_partial_stable_bounds``. That bound is iterated from the
+    Kripke-Kleene fixpoint unless already known (``well_founded`` without a
+    trace). A lower x is kept with the upper revision y at x when y is
+    defined, which it need not be for a consistency-restricted approximator,
+    x <= y, and the stable operator leaves (x, y) fixed.
     """
     lat = a.lattice
     wf, _ = well_founded(a, trace=False)
     check_atoms(lat, SCAN_ATOM_LIMIT, "partial-stable scan", wf.raw())
-    found = []
-    for lo in lat.interval(wf.lower, wf.upper):
-        hi = _revision(a, lo, False)
-        if hi is not None and lat.leq(lo, hi) and _stable_raw(a, lo, hi) == (lo, hi):
-            found.append(_known_pair(lat, lo, hi))
-    return frozenset(found)
+    uppers = {}
+
+    def accept(x):
+        y = uppers[x] = _revision(a, x, False)
+        return y is not None and lat.leq(x, y) and _stable_raw(a, x, y) == (x, y)
+
+    found = _search(a, wf.raw(), lambda lo, hi: _partial_stable_bounds(a, lo, hi), accept)
+    return frozenset(_known_pair(lat, x, uppers[x]) for x in found)
 
 
 def _stable_bounds(a: Approximator, lower: Element, upper: Element):

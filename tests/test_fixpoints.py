@@ -622,7 +622,51 @@ class TestSearch:
         assert found == {evens, a.lattice.universe - evens}
         assert len(calls) <= 34
 
-    @pytest.mark.parametrize("name", ["chain5", "pentagon"])
+    def test_even_cycle_and_gadgets_prune_partial_stable(self, monkeypatch):
+        # the lower of a partial stable pair is bounded by the lower
+        # revision after the upper one, from each side, and by the upper
+        # revision at the pair's lower; a scan over the lowers between the
+        # well-founded bounds makes about 70,000 revisions on the even cycle
+        # and 33,000 on the gadgets
+        calls = []
+        revision = fixpoints._revision
+        monkeypatch.setattr(
+            fixpoints,
+            "_revision",
+            lambda a, at, lower: calls.append(at) or revision(a, at, lower),
+        )
+        n = SCAN_ATOM_LIMIT
+        cycle = fitting(parse_program("\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n))))
+        evens = frozenset(f"a{i}" for i in range(0, n, 2))
+        odds = cycle.lattice.universe - evens
+        assert raw_pairs(partial_stable_fixpoints(cycle)) == {
+            (frozenset(), cycle.lattice.universe),
+            (evens, evens),
+            (odds, odds),
+        }
+        assert len(calls) <= 140
+
+        # x :- not y. y :- not x. f :- x, not f.: disjoint copies combine
+        # their pairs freely, so five copies have the oracle's pairs of one
+        # copy to the fifth power
+        gadget = "x{0} :- not y{0}.\ny{0} :- not x{0}.\nf{0} :- x{0}, not f{0}.\n"
+        one = raw_pairs(partial_stable_oracle(fitting(parse_program(gadget.format("")))))
+        assert len(one) == 3
+
+        def copy(pair, i):
+            return tuple(frozenset(v + str(i) for v in side) for side in pair)
+
+        expected = {
+            tuple(frozenset().union(*sides) for sides in zip(*choice))
+            for choice in itertools.product(*([copy(p, i) for p in one] for i in range(5)))
+        }
+        calls.clear()
+        five = fitting(parse_program("".join(gadget.format(i) for i in range(5))))
+        assert raw_pairs(partial_stable_fixpoints(five)) == expected
+        assert len(expected) == 243
+        assert len(calls) <= 2_000
+
+    @pytest.mark.parametrize("name", ["chain5", "pentagon", "m3"])
     def test_explicit_lattices_fall_back_to_exact_pairs(self, name):
         lat = FIVE_ELEMENT_LATTICES[name]
         elements = sorted(lat.elements, key=str)
@@ -632,6 +676,39 @@ class TestSearch:
             a = ultimate(LatticeOperator(lat, table))
             assert supported_fixpoints(a) == supported_oracle(a)
             assert stable_models(a) == stable_oracle(a)
+            assert partial_stable_fixpoints(a) == partial_stable_oracle(a)
+
+
+class TestPartialStableBounds:
+    # inside any (lo, hi) with lo <= x <= hi, the bounds the partial stable
+    # search narrows with contain the lower x of every partial stable pair
+    @staticmethod
+    def check(a, rng):
+        lat = a.lattice
+        for pair in partial_stable_oracle(a):
+            x = pair.lower
+            for _ in range(4):
+                lo = frozenset(v for v in x if rng.random() < 0.5)
+                hi = x | frozenset(v for v in lat.universe if rng.random() < 0.5)
+                out = fixpoints._partial_stable_bounds(a, lo, hi)
+                assert lat.leq(out[0], x) and lat.leq(x, out[1]), (a.name, lo, hi, x, out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_contain_every_lower_on_programs(self, seed, n_atoms):
+        prog = random_program(random.Random(seed), n_atoms)
+        fit = fitting(prog, program_lattice(prog))
+        rng = random.Random(seed)
+        for a in (fit, adf_approximator(program_to_adf(prog)), ultimate(fit.operator)):
+            self.check(a, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_contain_every_lower_on_frameworks(self, seed, n_statements):
+        a = adf_approximator(random_adf(random.Random(seed), n_statements))
+        rng = random.Random(seed)
+        for b in (a, ultimate(a.operator)):
+            self.check(b, rng)
 
 
 class TestAtomLimits:
