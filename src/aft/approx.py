@@ -308,7 +308,7 @@ def ultimate(op: LatticeOperator) -> Approximator:
 
         def step(lower: Element, upper: Element) -> RawPair:
             images = [op(z) for z in lattice.interval(lower, upper)]
-            return (lattice.glb(images), lattice.lub(images))
+            return (functools.reduce(lattice.meet, images), functools.reduce(lattice.join, images))
 
     return Approximator(
         lattice, step, operator=op, name=f"ultimate({op.name})", consistent_only=True

@@ -122,7 +122,7 @@ def _search(a: Approximator, start, propagate, accept) -> frozenset[Element]:
             out = propagate(lo, hi)
             if out is None:
                 break
-            nxt = (lat.lub((lo, out[0])), lat.glb((hi, out[1])))
+            nxt = (lat.join(lo, out[0]), lat.meet(hi, out[1]))
             if nxt == (lo, hi):
                 todo.extend(lat.split(lo, hi))
                 break
@@ -214,7 +214,7 @@ def _partial_stable_bounds(a: Approximator, lower: Element, upper: Element):
         return (lower, upper)
     up = _revision(a, lower, False)
     below = _revision(a, _revision(a, upper, False), True)
-    return (_revision(a, up, True), a.lattice.glb((below, up)))
+    return (_revision(a, up, True), a.lattice.meet(below, up))
 
 
 def partial_stable_fixpoints(a: Approximator) -> frozenset[ApproxPair]:
@@ -260,7 +260,7 @@ def _stable_bounds(a: Approximator, lower: Element, upper: Element):
     if lo is None:
         return None
     out_lo, out_hi = a.apply(lower, upper)
-    return (a.lattice.lub((lo, out_lo)), out_hi)
+    return (a.lattice.join(lo, out_lo), out_hi)
 
 
 def stable_models(a: Approximator) -> frozenset[Element]:

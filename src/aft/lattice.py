@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .bitmask import Codec, Dependencies
 from .errors import (
@@ -77,17 +77,27 @@ class Lattice:
 
     Each kind supplies its primitives: ``bottom``, ``top``, ``elements``,
     ``size``, ``height`` (the number of steps in a longest chain), ``has``,
-    ``leq``, ``lub``, ``glb``, ``interval``, ``up_covers`` and
-    ``down_covers``. Everything else is derived here from those, once.
-    ``atoms_between`` and ``split`` are derived by enumerating an interval,
-    which a kind may replace with something cheaper; ``hull`` walks covers
-    for every kind.
+    ``leq``, the binary ``join`` and ``meet``, ``interval``, ``up_covers``
+    and ``down_covers``. Everything else is derived here from those, once.
+    Like ``leq``, ``join`` and ``meet`` take elements already checked to be
+    in the lattice and check nothing; the n-ary ``lub`` and ``glb`` check
+    their members, for values that have not been. ``atoms_between`` and
+    ``split`` are derived by enumerating an interval, which a kind may
+    replace with something cheaper; ``hull`` walks covers for every kind.
     """
 
     def check_element(self, x: Element) -> Element:
         if not self.has(x):
             raise ForeignElement(x)
         return x
+
+    def lub(self, xs: Iterable[Element]) -> Element:
+        """Least upper bound; the empty join is the bottom element."""
+        return reduce(self.join, map(self.check_element, xs), self.bottom)
+
+    def glb(self, xs: Iterable[Element]) -> Element:
+        """Greatest lower bound; the empty meet is the top element."""
+        return reduce(self.meet, map(self.check_element, xs), self.top)
 
     def lt(self, a: Element, b: Element) -> bool:
         return a != b and self.leq(a, b)
@@ -115,10 +125,10 @@ class Lattice:
         Members that leave more than SCAN_ATOM_LIMIT atoms between their
         meet and their join are refused with TooManyAtoms before the walk.
         """
-        s = frozenset(self.check_element(x) for x in members)
+        s = frozenset(map(self.check_element, members))
         if not s:
             return frozenset()
-        join, meet = self.lub(s), self.glb(s)
+        join, meet = reduce(self.join, s), reduce(self.meet, s)
         check_atoms(self, SCAN_ATOM_LIMIT, "hull", (meet, join))
         up = _cover_closure(s, self.up_covers, lambda y: self.leq(y, join))
         down = _cover_closure(s, self.down_covers, lambda y: self.leq(meet, y))
@@ -222,14 +232,8 @@ class FiniteLattice(Lattice):
             self._meet[(a, b)] = self._meet[(b, a)] = m
 
         # binary bounds plus finiteness give the global ones by folding
-        it = iter(elems)
-        first = next(it)
-        bottom = top = first
-        for x in it:
-            bottom = self._meet[(bottom, x)]
-            top = self._join[(top, x)]
-        self.bottom = bottom
-        self.top = top
+        self.bottom = reduce(self.meet, elems)
+        self.top = reduce(self.join, elems)
 
     @staticmethod
     def _bound_of(candidates, opposite, kind, witness):
@@ -281,21 +285,11 @@ class FiniteLattice(Lattice):
     def leq(self, a: Element, b: Element) -> bool:
         return b in self._ups[a]
 
-    def lub(self, xs: Iterable[Element]) -> Element:
-        """Least upper bound; the empty join is the bottom element."""
-        out = None
-        for x in xs:
-            self.check_element(x)
-            out = x if out is None else self._join[(out, x)]
-        return self.bottom if out is None else out
+    def join(self, a: Element, b: Element) -> Element:
+        return self._join[(a, b)]
 
-    def glb(self, xs: Iterable[Element]) -> Element:
-        """Greatest lower bound; the empty meet is the top element."""
-        out = None
-        for x in xs:
-            self.check_element(x)
-            out = x if out is None else self._meet[(out, x)]
-        return self.top if out is None else out
+    def meet(self, a: Element, b: Element) -> Element:
+        return self._meet[(a, b)]
 
     def interval(self, x: Element, y: Element) -> frozenset:
         """All elements z with x <= z <= y (empty when x is not below y)."""
@@ -359,19 +353,11 @@ class PowersetLattice(Lattice):
     def leq(self, a, b) -> bool:
         return a <= b
 
-    def lub(self, xs) -> frozenset:
-        out = frozenset()
-        for x in xs:
-            self.check_element(x)
-            out |= x
-        return out
+    def join(self, a, b) -> frozenset:
+        return a | b
 
-    def glb(self, xs) -> frozenset:
-        out = None
-        for x in xs:
-            self.check_element(x)
-            out = x if out is None else out & x
-        return self.universe if out is None else out
+    def meet(self, a, b) -> frozenset:
+        return a & b
 
     def interval(self, x, y) -> frozenset:
         self.check_element(x)
@@ -425,8 +411,11 @@ def powerset_of(universe: frozenset, lattice: Lattice | None, what: str) -> Powe
 class LatticeOperator:
     """Total map from lattice elements to lattice elements.
 
-    The mapping may be a callable or an extensional table. Applications are
-    memoized; exhaustive law checks revisit elements many times.
+    The mapping may be a callable or an extensional table. Each image is
+    checked to be in the lattice and none is memoized: a table is looked up,
+    an operator with dependencies looks its conditions up in their table,
+    and ``is_monotone``, the one check that revisits elements, tabulates the
+    images itself.
 
     An operator on a powerset may instead carry its ``dependencies``: a
     function returning the ``parents`` map and the ``condition`` of
@@ -453,7 +442,6 @@ class LatticeOperator:
             self._fn = mapping
         elif dependencies is None:
             raise ValueError("an operator needs a mapping or its dependencies")
-        self._memo: dict[Element, Element] = {}
 
     @cached_property
     def dependencies(self) -> Dependencies | None:
@@ -467,17 +455,13 @@ class LatticeOperator:
     def _fn(self) -> Callable[[Element], Element]:
         # without a mapping, evaluated through the dependencies; a bound
         # method of those, unlike a closure over self, frees the operator
-        # and its memo as soon as the last reference goes
+        # as soon as the last reference goes
         return self.dependencies.image
 
     def __call__(self, x: Element) -> Element:
-        memo = self._memo
-        if x in memo:
-            return memo[x]
         y = self._fn(x)
         if not self.lattice.has(y):
             raise ForeignElement(y)
-        memo[x] = y
         return y
 
     def __repr__(self) -> str:
@@ -489,15 +473,16 @@ def is_monotone(op: LatticeOperator) -> LawCheck:
 
     It suffices to compare along covering pairs: any x <= y decomposes into
     a chain of covers, and the pointwise comparisons compose transitively.
-    A failing witness is such a covering pair. Lattices of more than
-    2**SCAN_ATOM_LIMIT elements are refused with TooManyAtoms.
+    A failing witness is such a covering pair. Each image is computed once,
+    up front. Lattices of more than 2**SCAN_ATOM_LIMIT elements are refused
+    with TooManyAtoms.
     """
     lat = op.lattice
     check_atoms(lat, SCAN_ATOM_LIMIT, "monotonicity check")
-    for x in lat.elements:
-        ox = op(x)
+    images = {x: op(x) for x in lat.elements}
+    for x, ox in images.items():
         for y in lat.up_covers(x):
-            if not lat.leq(ox, op(y)):
+            if not lat.leq(ox, images[y]):
                 return LawCheck(False, (x, y))
     return LawCheck(True)
 

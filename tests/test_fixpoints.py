@@ -29,6 +29,7 @@ from aft.fixpoints import (
 )
 from aft.lattice import (
     SCAN_ATOM_LIMIT,
+    Lattice,
     LatticeOperator,
     PowersetLattice,
     check_atoms,
@@ -665,6 +666,25 @@ class TestSearch:
         assert raw_pairs(partial_stable_fixpoints(five)) == expected
         assert len(expected) == 243
         assert len(calls) <= 2_000
+
+    @pytest.mark.parametrize(
+        "search", [supported_fixpoints, stable_models, partial_stable_fixpoints]
+    )
+    def test_search_checks_only_what_the_revision_hook_computes(self, search, monkeypatch):
+        # every value the search joins and meets comes from apply or the
+        # revision hook, which check it once; a search node checks nothing
+        # again, so the checks are the hook's cache misses, none without it
+        checked = []
+        check = Lattice.check_element
+        monkeypatch.setattr(
+            Lattice, "check_element", lambda self, x: checked.append(x) or check(self, x)
+        )
+        n = SCAN_ATOM_LIMIT
+        a = fitting(parse_program("\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n))))
+        assert len(search(a)) >= 2
+        misses = a.revision.cache_info().misses
+        assert len(checked) == (0 if search is supported_fixpoints else misses)
+        assert search is supported_fixpoints or misses > 0
 
     @pytest.mark.parametrize("name", ["chain5", "pentagon", "m3"])
     def test_explicit_lattices_fall_back_to_exact_pairs(self, name):

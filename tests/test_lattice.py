@@ -22,7 +22,7 @@ from aft.lattice import (
 )
 from aft.lp import parse_program, program_lattice, tp
 
-from conftest import fs
+from conftest import FIVE_ELEMENT_LATTICES, fs
 
 
 def full_relation(ups):
@@ -141,6 +141,16 @@ class TestBounds:
     def test_diamond_incomparable_pair(self, diamond):
         assert diamond.glb(["a", "b"]) == "bot"
         assert diamond.lub(["a", "b"]) == "top"
+
+    @pytest.mark.parametrize("name", [*FIVE_ELEMENT_LATTICES, "diamond", "powerset"])
+    def test_join_and_meet_are_the_binary_bounds(self, name, diamond):
+        lattices = {**FIVE_ELEMENT_LATTICES, "diamond": diamond, "powerset": PowersetLattice("pqr")}
+        lat = lattices[name]
+        for x in lat.elements:
+            assert lat.lub([x]) == x == lat.glb([x])
+            for y in lat.elements:
+                assert lat.join(x, y) == lat.lub([x, y]) == lat.join(y, x)
+                assert lat.meet(x, y) == lat.glb([x, y]) == lat.meet(y, x)
 
     def test_foreign_member(self, diamond):
         with pytest.raises(ForeignElement):
@@ -312,14 +322,3 @@ class TestStructure:
         with pytest.raises(ForeignElement):
             op("a")
 
-    def test_operator_memoizes(self, diamond):
-        calls = []
-
-        def step(x):
-            calls.append(x)
-            return x
-
-        op = LatticeOperator(diamond, step)
-        op("a")
-        op("a")
-        assert calls == ["a"]
