@@ -32,9 +32,9 @@ from .lattice import SCAN_ATOM_LIMIT, Element, Lattice, LatticeOperator, LawChec
 RawPair = tuple[Element, Element]
 
 # The exhaustive law checks (precision-monotonicity, symmetry, fixpoints_of)
-# enumerate and memoize all 4**|U| pairs, the scan limit's 2**16 items at
-# half as many atoms: `aft check lp` on a negation chain takes 1.6 s and
-# 90 MB at 8 atoms and 8.7 s and 360 MB at 9. They refuse larger lattices.
+# enumerate and tabulate all 4**|U| pairs, the scan limit's 2**16 items at
+# half as many atoms: `aft check lp` on a negation chain takes 1.4-2.0 s and
+# 51 MB at 8 atoms and 6.1-6.6 s and 173 MB at 9. They refuse larger lattices.
 LAW_ATOM_LIMIT = SCAN_ATOM_LIMIT // 2
 
 
@@ -79,8 +79,8 @@ class ApproxPair:
 
 def _known_pair(lattice: Lattice, lower: Element, upper: Element) -> ApproxPair:
     """The pair (lower, upper) of elements already checked to be in
-    ``lattice``: by ``Approximator.apply``, by the revision hook's cache, or
-    as its bottom and top. It is built without checking them again."""
+    ``lattice``: by ``Approximator.apply``, as the revision hook's results,
+    or as its bottom and top. It is built without checking them again."""
     pair = object.__new__(ApproxPair)
     pair.__dict__.update(lattice=lattice, lower=lower, upper=upper)
     return pair
@@ -109,25 +109,23 @@ class Approximator:
     """A map on approximating pairs over a fixed lattice.
 
     ``mapping`` takes and returns raw (lower, upper) tuples, or is an
-    extensional table of them. Applications are memoized. When
+    extensional table of them, evaluated on every application. When
     ``consistent_only`` is set the operator refuses inconsistent arguments.
     The approximated base operator, when known, is attached as ``operator``;
     it must be over the same lattice, or LatticeMismatch is raised.
 
     ``revision``, when given, maps y to the least fixpoint of
     z -> A(z, y).lower, which the stable-operator routines then call instead
-    of iterating ``apply`` from bottom; both frontends give one. Each result
-    is checked to be in the lattice once, when computed, and the last four
-    are cached. Only a total, symmetric approximator may carry it: symmetry
-    makes z -> A(x, z).upper the same function as z -> A(z, x).lower, so
+    of iterating ``apply`` from bottom; both frontends give one. Only a
+    total, symmetric approximator may carry it: symmetry makes
+    z -> A(x, z).upper the same function as z -> A(z, x).lower, so
     ``revision(x)`` is also the upper revision at x.
 
     Each value is checked once, where it enters: ``apply`` checks the
-    mapping's outputs and the revision hook its results, so the fixpoint
-    routines build their pairs from them unchecked. Like applications, the
-    Kripke-Kleene and well-founded fixpoints are remembered once computed
-    (in ``fixpoints``), so every semantics read off one approximator shares
-    them.
+    mapping's outputs and ``fixpoints`` the hook's results, so the fixpoint
+    routines build their pairs from them unchecked. ``fixpoints`` keeps on
+    it the last four revisions and, once computed, the Kripke-Kleene and
+    well-founded fixpoints, which every semantics read off it shares.
     """
 
     def __init__(
@@ -148,42 +146,28 @@ class Approximator:
         self.operator = operator
         self.name = name
         self.consistent_only = consistent_only
-        # the stable operator asks for the same revision again within a few
-        # calls: at lower and upper of an exact pair, at the bound a
-        # well-founded step left unchanged, and at a candidate's lower in the
-        # partial-stable search; a few entries catch these without a growing
-        # memo
-        self.revision = None
-        if revision is not None:
-            check = lattice.check_element
-            # a result is checked once, when computed; a foreign one raises
-            # on every call, since the cache keeps no exceptions
-            self.revision = functools.lru_cache(maxsize=4)(lambda y: check(revision(y)))
+        self.revision = revision
         if isinstance(mapping, Mapping):
             table = dict(mapping)
             self._fn = lambda lo, hi: table[(lo, hi)]
         else:
             self._fn = mapping
-        self._memo: dict[RawPair, RawPair] = {}
+        # bound, and side without a hook -> one of the last four revisions,
+        # filled by ``fixpoints``
+        self._revisions: dict[object, Element | None] = {}
         # construction name, or name and start pair -> (fixpoint, trace),
         # filled by ``fixpoints``
         self._fixpoints: dict[object, tuple[ApproxPair, list[ApproxPair]]] = {}
 
     def apply(self, lower: Element, upper: Element) -> RawPair:
-        key = (lower, upper)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
         if self.consistent_only and not self.lattice.leq(lower, upper):
-            raise InconsistentPair(key)
+            raise InconsistentPair((lower, upper))
         out_lo, out_hi = self._fn(lower, upper)
         if not self.lattice.has(out_lo):
             raise ForeignElement(out_lo)
         if not self.lattice.has(out_hi):
             raise ForeignElement(out_hi)
-        out = (out_lo, out_hi)
-        memo[key] = out
-        return out
+        return (out_lo, out_hi)
 
     def __call__(self, p: ApproxPair) -> ApproxPair:
         if not (p.lattice is self.lattice or p.lattice == self.lattice):
@@ -220,15 +204,16 @@ def is_precision_monotone(a: Approximator) -> LawCheck:
 
     Comparing along precision covers suffices: any comparison decomposes into
     a chain of covers and the pointwise comparisons compose transitively. A
-    failing witness is such a covering pair of pairs.
+    failing witness is such a covering pair of pairs. Each image is computed
+    once, up front.
     """
     lat = a.lattice
-    for lo, hi in a.domain():
-        out = a.apply(lo, hi)
-        for nlo, nhi in a._domain_cover_successors(lo, hi):
-            nout = a.apply(nlo, nhi)
-            if not (lat.leq(out[0], nout[0]) and lat.leq(nout[1], out[1])):
-                return LawCheck(False, ((lo, hi), (nlo, nhi)))
+    images = {key: a.apply(*key) for key in a.domain()}
+    for (lo, hi), (out_lo, out_hi) in images.items():
+        for cover in a._domain_cover_successors(lo, hi):
+            cover_lo, cover_hi = images[cover]
+            if not (lat.leq(out_lo, cover_lo) and lat.leq(cover_hi, out_hi)):
+                return LawCheck(False, ((lo, hi), cover))
     return LawCheck(True)
 
 
@@ -341,14 +326,12 @@ def is_symmetric(a: Approximator) -> LawCheck:
 
     Equivalent to pointwise equality of the operator with its dual. Pairs
     whose swap falls outside the domain are skipped, so for a
-    consistency-restricted operator only exact pairs are examined.
+    consistency-restricted operator only exact pairs are examined, each once.
     """
     lat = a.lattice
-    for lo, hi in a.domain():
-        if a.consistent_only and not lat.leq(hi, lo):
-            continue
-        out = a.apply(lo, hi)
-        swapped = a.apply(hi, lo)
-        if out != (swapped[1], swapped[0]):
+    pairs = (p for p in a.domain() if not a.consistent_only or lat.leq(p[1], p[0]))
+    images = {p: a.apply(*p) for p in pairs}
+    for (lo, hi), (out_lo, out_hi) in images.items():
+        if images[(hi, lo)] != (out_hi, out_lo):
             return LawCheck(False, ((lo, hi),))
     return LawCheck(True)

@@ -75,8 +75,8 @@ SEMANTICS = {
 class Request:
     """What the semantics of one request share: the approximator, whether
     traces are printed, and the ultimate approximator of its operator, built
-    on first use, so that ``ultimate-kk`` and ``ultimate-wf`` share its memo
-    and remembered fixpoints. Nothing outlives the request."""
+    on first use, so that ``ultimate-kk`` and ``ultimate-wf`` share its
+    remembered fixpoints and revisions. Nothing outlives the request."""
 
     def __init__(self, approximator: Approximator, trace: bool = False):
         self.approximator = approximator
@@ -329,7 +329,7 @@ def _cmd_run(args) -> dict:
         value, trace = compute(request)
         doc[name] = _json_entry(kind, value, trace if args.trace else None, atoms)
     # the document holds everything left to print; returning frees the
-    # approximators' memos and the last result before it is encoded
+    # approximators' fixpoints and the last result before it is encoded
     return doc
 
 

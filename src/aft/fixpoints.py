@@ -9,14 +9,14 @@ precision-least fixpoint of the stable operator).
 
 The stable operator's two inner least fixpoints, the revisions, come from
 one routine: the approximator's ``revision`` hook when it carries one, as
-both frontends' approximators do (``Approximator`` checks and caches its
-last four results), and otherwise iterating a projection of the
-approximator, as for ``ultimate``, ``dual`` and tabulated ones. A revision
-of a consistency-restricted approximator is undefined once an iterate
-leaves the consistent region, which ``Approximator.apply`` detects.
-The upper revision depends on the lower bound alone, so each lower has a
-single candidate upper, and partial stable pairs are found by a search
-over lowers.
+both frontends' approximators do, and otherwise iterating a projection of
+the approximator, as for ``ultimate``, ``dual`` and tabulated ones. Either
+way the approximator keeps the last four, and a hook's results are checked
+once, when computed. A revision of a consistency-restricted approximator is
+undefined once an iterate leaves the consistent region, which
+``Approximator.apply`` detects. The upper revision depends on the lower
+bound alone, so each lower has a single candidate upper, and partial stable
+pairs are found by a search over lowers.
 
 The Kripke-Kleene and well-founded iterations and the iterated revisions
 all run through ``aft.lattice.iterate``: the outer ones bounded by twice the
@@ -154,11 +154,28 @@ def _revision(a: Approximator, at: Element, lower: bool):
     a consistency-restricted approximator). For the latter it is None once
     an iterate leaves the consistent region, which ``apply`` refuses before
     evaluating it; a precision-monotone approximator climbs strictly until
-    then, so that comes within the height bound.
+    then, so that comes within the height bound. The stable operator asks
+    for a revision again within a few calls, so the approximator keeps the
+    last four computed, keyed by ``at`` and, without a hook, by side.
     """
+    hook = a.revision
+    key = at if hook is not None else (at, lower)
+    kept = a._revisions
+    try:
+        return kept[key]
+    except KeyError:
+        pass
+    out = a.lattice.check_element(hook(at)) if hook is not None else _iterated(a, at, lower)
+    kept[key] = out
+    # pop what a thread sharing the approximator may have evicted already
+    for old in list(kept)[:-4]:
+        kept.pop(old, None)
+    return out
+
+
+def _iterated(a: Approximator, at: Element, lower: bool):
+    """``_revision`` without a hook, iterating a projection of ``apply``."""
     lat = a.lattice
-    if a.revision is not None:
-        return a.revision(at)
     if lower:
         side, start, step = "lower", lat.bottom, lambda z: a.apply(z, at)[0]
     else:

@@ -30,9 +30,8 @@ from aft.errors import (
     NotPrecisionMonotone,
     TooManyAtoms,
 )
-from aft.fixpoints import fixpoints_of
 from aft.corpus import random_adf, random_program
-from aft.fixpoints import kripke_kleene, well_founded
+from aft.fixpoints import _revision, fixpoints_of, kripke_kleene, well_founded
 from aft.lattice import (
     SCAN_ATOM_LIMIT,
     FiniteLattice,
@@ -198,15 +197,17 @@ class TestVerifyApproximator:
         # elements: both 2**16 at their limits
         atoms = limit + 1
         a = fitting(parse_program("\n".join(f"a{i} :- not a{i + 1}." for i in range(atoms - 1))))
-        # the operator counts its evaluations: none come before the refusal
+        # the operator and the mapping count their evaluations: none come
+        # before the refusal
         evaluated = []
-        op = a.operator
+        op, step = a.operator, a._fn
         a.operator = LatticeOperator(op.lattice, lambda x: evaluated.append(x) or op(x))
+        a._fn = lambda lo, hi: evaluated.append((lo, hi)) or step(lo, hi)
         start = time.process_time()
         with pytest.raises(TooManyAtoms, match=f"{atoms} atoms exceed the {what} limit of {limit}"):
             law_check(a)
         assert time.process_time() - start < 1.0
-        assert a._memo == {} and evaluated == []
+        assert evaluated == []
 
     def test_law_limit_admits_its_own_size(self):
         lat = PowersetLattice(f"a{i}" for i in range(LAW_ATOM_LIMIT))
@@ -423,7 +424,8 @@ def test_fitting_and_dual_laws_on_generated_programs(mask):
 
 class TestChecksAtTheBoundary:
     # values are checked where they enter: the mapping's outputs by apply,
-    # the hook's results by the approximator's cache, user pairs on creation
+    # the hook's results when the revision is computed, user pairs on
+    # creation
     def test_apply_refuses_a_foreign_output(self):
         a = Approximator(PQ, lambda lo, hi: (lo, fs("z")))
         with pytest.raises(ForeignElement):
@@ -438,8 +440,8 @@ class TestChecksAtTheBoundary:
         )
         for _ in range(3):
             with pytest.raises(ForeignElement):
-                a.revision(fs("p"))
-        assert calls == [fs("p")] * 3
+                _revision(a, fs("p"), True)
+        assert calls == [fs("p")] * 3 and a._revisions == {}
 
     def test_user_pairs_are_checked(self):
         with pytest.raises(ForeignElement):
@@ -449,17 +451,32 @@ class TestChecksAtTheBoundary:
 
 
 class TestMemoization:
-    def test_apply_memoizes(self):
-        calls = []
-
-        def step(lo, hi):
-            calls.append((lo, hi))
-            return (lo, hi)
-
-        a = Approximator(PQ, step)
-        a.apply(fs(), fs("p"))
-        a.apply(fs(), fs("p"))
+    # applications are not remembered; revisions are, the last four of them
+    def test_a_repeated_revision_applies_once_and_four_are_kept(self):
+        lat = PowersetLattice({"p", "q", "r"})
+        a = Approximator(lat, lambda lo, hi: (lo, hi))
+        apply, calls = a.apply, []
+        a.apply = lambda lo, hi: calls.append((lo, hi)) or apply(lo, hi)
+        assert _revision(a, lat.top, True) == lat.bottom
+        assert calls == [(lat.bottom, lat.top)]
+        assert _revision(a, lat.top, True) == lat.bottom
         assert len(calls) == 1
+        for at in sorted(lat.elements, key=sorted):
+            for lower in (True, False):
+                _revision(a, at, lower)
+                assert len(a._revisions) <= 4
+        assert len(a._revisions) == 4
+
+    @pytest.mark.parametrize("law_check", [is_precision_monotone, is_symmetric])
+    def test_pair_law_checks_evaluate_each_pair_at_most_once(self, law_check):
+        for a in (
+            fitting(parse_program("p :- not q.\nq :- not r.\nr :- p, not r.")),
+            ultimate(tp(parse_program("p :- not q.\nq :- q, not p."))),
+        ):
+            apply, calls = a.apply, []
+            a.apply = lambda lo, hi: calls.append((lo, hi)) or apply(lo, hi)
+            assert law_check(a)
+            assert calls and len(calls) == len(set(calls))
 
     def test_call_checks_lattice(self):
         a = Approximator(PQ, lambda lo, hi: (lo, hi))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -247,14 +248,15 @@ class TestCycleWitness:
         st.sampled_from(["kk", "wf", "iterate", "lower revision", "upper revision"]),
     )
     def test_swap_approximators_report_their_two_cycle(self, n, construction):
-        # the guard fires after the distinct values the two steps of the
-        # cycle evaluate, however large the bound, which stays in the message
+        # the guard fires after the two steps of the cycle, however large the
+        # bound, which stays in the message: one evaluation each, or for wf
+        # three, the revisions it iterates, which the second round finds kept
         lat = PowersetLattice(f"a{i}" for i in range(n))
         calls = []
         run, cycle, bound = _swap_cases(lat, calls)[construction]
         with pytest.raises(DivergenceGuard) as exc:
             run()
-        assert len(calls) <= 4
+        assert len(calls) == (6 if construction == "wf" else 2)
         assert exc.value.cycle == cycle
         assert exc.value.bound == bound
         assert str(exc.value).endswith(f"of swap did not stabilize within {bound} steps")
@@ -353,7 +355,8 @@ class TestUltimateSemantics:
             prog = random_program(rng, n_atoms)
             lat = program_lattice(prog)
             op = tp(prog, lat)
-        # the oracle gets its own memo, so it never sees what _revision applied
+        # the oracle gets its own approximator, so it never sees the
+        # revisions _revision keeps
         a, ref = ultimate(op), ultimate(op)
         for lo, hi in lat.consistent_pairs():
             assert _revision(a, hi, True) == revision_oracle(ref, hi, True)
@@ -413,15 +416,18 @@ class TestRevisionHook:
             (165, fitting(chain_program(165))),
             (20, adf_approximator(program_to_adf(chain_program(20)))),
         ):
-            calls = []
-            least_fixpoint = a.revision
+            calls, applied = [], []
+            least_fixpoint, step = a.revision, a._fn
             a.revision = lambda y: calls.append(y) or least_fixpoint(y)
+            a._fn = lambda lo, hi: applied.append((lo, hi)) or step(lo, hi)
             wf, trace = well_founded(a)
             assert wf.exact and wf.lower == frozenset(f"a{i}" for i in range(layers + 1))
             # one stable-operator application per trace entry, the last one
-            # confirming the fixpoint; each takes one hook call per bound
-            assert len(calls) == 2 * len(trace)
-            assert a._memo == {}
+            # confirming the fixpoint; each asks for one revision per bound,
+            # but a step on the chain moves one bound, and the other's
+            # revision is kept from the step before
+            assert len(calls) == len(trace)
+            assert applied == []
 
     def test_hook_needs_a_total_approximator(self):
         lat = PowersetLattice({"p"})
@@ -455,6 +461,28 @@ class TestRememberedFixpoints:
         assert supported_fixpoints(a) == {kk.lower}
         # one application: the fixpoint check of the exact start
         assert calls == [(kk.lower, kk.upper)]
+
+    def test_traced_ultimate_wf_on_a_weak_chain_keeps_no_applications(self):
+        # kk leaves every atom but a0 unknown, so the walk from (bottom, top)
+        # iterates the generic revisions at each of its 61 steps; what is
+        # remembered is the fixpoints and four revisions, not the
+        # applications (3.8 MB when every application was kept)
+        prog = parse_program(
+            "a0.\n"
+            + "".join(
+                f"a{i + 1} :- a{i}, not d{i}.\nd{i} :- not a{i}.\nd{i} :- d{i}.\n"
+                for i in range(30)
+            )
+        )
+        a = ultimate(tp(prog))
+        tracemalloc.start()
+        try:
+            wf, trace = well_founded(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wf.exact and len(wf.lower) == 31 and len(trace) == 62
+        assert peak < 1_000_000
 
 
 def with_positive_loops(prog, rng):
@@ -681,8 +709,10 @@ class TestSearch:
         )
         n = SCAN_ATOM_LIMIT
         a = fitting(parse_program("\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n))))
+        hook, computed = a.revision, []
+        a.revision = lambda y: computed.append(y) or hook(y)
         assert len(search(a)) >= 2
-        misses = a.revision.cache_info().misses
+        misses = len(computed)
         assert len(checked) == (0 if search is supported_fixpoints else misses)
         assert search is supported_fixpoints or misses > 0
 

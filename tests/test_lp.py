@@ -313,9 +313,8 @@ STEP_CALLS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.booleans(), STEP_CALLS)
 def test_semi_naive_step_equals_the_whole_rule_oracle(seed, n, overlap, calls):
-    # the steps of two approximators of one program, called directly so that
-    # repeated pairs reach them past the memo, interleaved in any order over
-    # consistent and inconsistent pairs alike
+    # the steps of two approximators of one program, called directly,
+    # interleaved in any order over consistent and inconsistent pairs alike
     prog = random_program(random.Random(seed), n)
     if overlap and n:
         a = sorted(prog.atoms)[0]
@@ -387,10 +386,11 @@ def random_ys(rng, atoms, count):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 10))
 def test_revision_hook_is_the_least_model_of_the_reduct(seed, n):
-    # the raw hook, past the approximator's cache, so repeated sets reach it
+    # the hook itself, past the revisions the approximator keeps, so repeated
+    # sets reach it
     rng = random.Random(seed)
     prog = random_program(rng, n, max_body=3)
-    hook = fitting(prog).revision.__wrapped__
+    hook = fitting(prog).revision
     for y in random_ys(rng, sorted(prog.atoms), 30):
         assert hook(y) == _definite_lfp(gl_reduct(prog, y))
 
@@ -400,7 +400,7 @@ def test_revision_hook_shared_between_threads_answers_like_the_oracle():
     # states the others may start from
     prog = random_program(random.Random(11), 26, max_body=3)
     atoms = sorted(prog.atoms)
-    hook = fitting(prog).revision.__wrapped__
+    hook = fitting(prog).revision
     wrong = []
 
     def worker(seed):
