@@ -5,6 +5,11 @@ operator on pairs, then computes the classic fixpoint families: supported,
 Kripke-Kleene, (partial) stable and well-founded. Frontends induce such
 operators from normal logic programs and from dialectical frameworks; a
 convex-set approximation space generalizes the interval reading.
+
+The package holds the engine, its frontends and the ``aft`` command. The
+seeded programs of ``aft compare --corpus`` are in ``aft.corpus``, and the
+reduct oracle for stable models in ``aft.lp``; the test corpora and every
+other oracle the tests check the engine against are in the tests.
 """
 
 from . import errors
@@ -15,13 +20,10 @@ from .adf import (
     Formula,
     Not,
     Or,
-    Truth,
     Var,
     adf_approximator,
-    adf_lattice,
     attack_network,
     classical_operator,
-    eval3,
     parse_adf,
     program_to_adf,
 )
@@ -70,7 +72,6 @@ from .lp import (
     Rule,
     fitting,
     gl_reduct,
-    is_stratified,
     parse_program,
     program_lattice,
     stable_models_oracle,

@@ -20,7 +20,9 @@ condition built in code, with a ValueError.
 
 The induced pair-space operator evaluates every condition in strong Kleene
 three-valued logic: the lower step collects statements whose condition is
-true, the upper step those whose condition is not false. Each framework's
+true (truth-supported), the upper step those whose condition is not false
+(not falsity-supported); a condition's value at a pair is read off those
+two bits, with no evaluator of its own. Each framework's
 conditions are compiled once, into one closure each, which the operator,
 its approximator and their revision hook share. The usual
 semantics names map onto the fixpoint families as: grounded is the
@@ -50,18 +52,11 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from enum import Enum
 
-from .approx import Approximator, ApproxPair
+from .approx import Approximator
 from .errors import MissingCondition, UndeclaredStatement
 from .lattice import LatticeOperator, PowersetLattice, iterate, powerset_of
 from .lp import LogicProgram, _syntax_error, _words
-
-
-class Truth(Enum):
-    FALSE = 0.0
-    UNKNOWN = 0.5
-    TRUE = 1.0
 
 
 @dataclass(frozen=True)
@@ -148,18 +143,6 @@ def _compile(f: Formula) -> Holds:
         value = f.value
         return lambda x, y: value
     raise TypeError(f"not a formula: {f!r}")
-
-
-def eval3(formula: Formula, p: ApproxPair) -> Truth:
-    """Strong Kleene evaluation against a pair: a variable is true when in
-    the lower bound, false when outside the upper bound, unknown otherwise.
-    On exact pairs this collapses to classical two-valued evaluation."""
-    holds = _compile(formula)
-    if holds(p.lower, p.upper):
-        return Truth.TRUE
-    if not holds(p.upper, p.lower):
-        return Truth.FALSE
-    return Truth.UNKNOWN
 
 
 def _formula_vars(statement: str, f: Formula) -> frozenset[str]:
@@ -315,10 +298,6 @@ def _read_formula(text: str, words: list[str], i: int) -> tuple[Formula, int]:
             formula = Not(formula) if connective is Not else connective(first, formula)
         else:
             return formula, i
-
-
-def adf_lattice(adf: Adf) -> PowersetLattice:
-    return PowersetLattice(adf.statements)
 
 
 def classical_operator(adf: Adf, lattice: PowersetLattice | None = None) -> LatticeOperator:

@@ -39,7 +39,6 @@ from .convex import convex_kripke_kleene, embed_interval
 from .corpus import DEFAULT_SEED, random_programs
 from .errors import (
     AftError,
-    ForeignAtom,
     MissingCondition,
     ParseError,
     TooManyAtoms,
@@ -92,7 +91,6 @@ _INPUT_ERRORS = (
     ParseError,
     UndeclaredStatement,
     MissingCondition,
-    ForeignAtom,
     TooManyAtoms,
     ValueError,
 )

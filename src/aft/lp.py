@@ -18,7 +18,8 @@ tokenized, to report the error's position.
 The module provides the two-valued one-step consequence operator, its
 four-valued bracketing approximator evaluated on all pairs by the same
 formulas, and an independent brute-force stable-model oracle via the
-classical reduct. The approximator is built from one lower step, and
+classical reduct, which ``benchmark/reference.py`` checks stable models
+against. The approximator is built from one lower step, and
 carries that step's least fixpoint, the least model of the reduct, as its
 ``revision`` hook; each least model grows from one the hook computed
 before, at a set that contains the new one.
@@ -64,10 +65,6 @@ class LogicProgram:
             atoms |= r.pos
             atoms |= r.neg
         self.atoms = frozenset(atoms)
-
-    @property
-    def is_definite(self) -> bool:
-        return all(not r.neg for r in self.rules)
 
     def to_text(self) -> str:
         return "\n".join(r.to_text() for r in self.rules)
@@ -460,26 +457,3 @@ def stable_models_oracle(program: LogicProgram) -> frozenset:
             if _definite_lfp(gl_reduct(program, m)) == m:
                 out.append(m)
     return frozenset(out)
-
-
-def is_stratified(program: LogicProgram) -> bool:
-    """True when no dependency cycle passes through negation, that is when
-    no rule's head reaches back to one of its negated body atoms."""
-    feeds: dict[str, set[str]] = {}
-    for r in program.rules:
-        for b in r.pos | r.neg:
-            feeds.setdefault(b, set()).add(r.head)
-    for r in program.rules:
-        if not r.neg:
-            continue
-        seen = {r.head}
-        stack = [r.head]
-        while stack:
-            a = stack.pop()
-            if a in r.neg:
-                return False
-            for h in feeds.get(a, ()):
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-    return True

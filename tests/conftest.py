@@ -1,9 +1,14 @@
+import itertools
 import json
+import random
+from enum import Enum
+from typing import Iterator
 
 import pytest
 
 from aft.adf import _KEYWORDS, Adf, And, Const, Formula, Not, Or, Var
 from aft.approx import Approximator, ApproxPair
+from aft.corpus import DEFAULT_SEED, _names
 from aft.errors import ParseError
 from aft.fixpoints import _stable_raw
 from aft.lattice import FiniteLattice, Lattice
@@ -122,6 +127,43 @@ def support_oracle(f, lower, upper):
     return (lt or rt, lf and rf)
 
 
+class Truth(Enum):
+    FALSE = 0.0
+    UNKNOWN = 0.5
+    TRUE = 1.0
+
+
+def eval3(formula, p):
+    """Strong Kleene value of a formula at a pair, read off
+    ``support_oracle``: true when truth-supported, else false when
+    falsity-supported, else unknown."""
+    t, fa = support_oracle(formula, p.lower, p.upper)
+    return Truth.TRUE if t else Truth.FALSE if fa else Truth.UNKNOWN
+
+
+def is_stratified(program: LogicProgram) -> bool:
+    """True when no dependency cycle passes through negation, that is when
+    no rule's head reaches back to one of its negated body atoms."""
+    feeds: dict[str, set[str]] = {}
+    for r in program.rules:
+        for b in r.pos | r.neg:
+            feeds.setdefault(b, set()).add(r.head)
+    for r in program.rules:
+        if not r.neg:
+            continue
+        seen = {r.head}
+        stack = [r.head]
+        while stack:
+            a = stack.pop()
+            if a in r.neg:
+                return False
+            for h in feeds.get(a, ()):
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+    return True
+
+
 def ultimate_oracle(lattice, op):
     """Reference for ``ultimate``: on a consistent pair, the meet and the join
     of the operator's images of every element of the interval."""
@@ -217,6 +259,67 @@ def convex_output_oracle(frontend, atoms, result, trace, fmt):
 
     steps = [f"  step {i}: {shown(s)}\n" for i, s in enumerate(trace or ())]
     return f"convex-kk: {shown(result)}\n" + "".join(steps)
+
+
+# -- test corpora: every two-atom program, and seeded frameworks --
+
+
+def two_atom_rules() -> tuple[Rule, ...]:
+    """The 18 candidate rules over {p, q}: each head with each body of at
+    most two literals over disjoint positive/negative atom sets."""
+    atoms = ("p", "q")
+    bodies = []
+    for pos_size in range(3):
+        for pos in itertools.combinations(atoms, pos_size):
+            rest = [a for a in atoms if a not in pos]
+            for neg_size in range(3 - pos_size):
+                for neg in itertools.combinations(rest, neg_size):
+                    bodies.append((frozenset(pos), frozenset(neg)))
+    return tuple(
+        Rule(head, pos, neg) for head in atoms for pos, neg in bodies
+    )
+
+
+def exhaustive_two_atom_programs() -> Iterator[LogicProgram]:
+    """All rule subsets of the two-atom candidate rules, smallest mask first.
+    Deduplicated by construction: each program is a distinct rule set."""
+    rules = two_atom_rules()
+    n = len(rules)
+    for mask in range(1 << n):
+        yield LogicProgram(rules[i] for i in range(n) if mask >> i & 1)
+
+
+def exhaustive_two_atom_count() -> int:
+    return 1 << len(two_atom_rules())
+
+
+def random_formula(rng: random.Random, names: list[str], depth: int) -> Formula:
+    if depth <= 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.15:
+            return Const(rng.random() < 0.5)
+        return Var(rng.choice(names))
+    kind = rng.choice(("neg", "and", "or"))
+    if kind == "neg":
+        return Not(random_formula(rng, names, depth - 1))
+    left = random_formula(rng, names, depth - 1)
+    right = random_formula(rng, names, depth - 1)
+    return And(left, right) if kind == "and" else Or(left, right)
+
+
+def random_adf(rng: random.Random, n_statements: int, depth: int = 3) -> Adf:
+    names = _names(n_statements)
+    conditions = {s: random_formula(rng, names, depth) for s in names}
+    return Adf(names, conditions)
+
+
+def random_adfs(
+    count: int, *, seed: int = DEFAULT_SEED, min_statements: int = 1, max_statements: int = 3
+) -> list[Adf]:
+    rng = random.Random(seed)
+    return [
+        random_adf(rng, rng.randint(min_statements, max_statements)) for _ in range(count)
+    ]
 
 
 # -- token parsers, the references for ``parse_program`` and ``parse_adf`` --

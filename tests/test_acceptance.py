@@ -29,12 +29,7 @@ from aft.approx import (
 )
 from aft.cli import main
 from aft.convex import convex_kripke_kleene, embed_interval, hull, is_convex
-from aft.corpus import (
-    exhaustive_two_atom_count,
-    exhaustive_two_atom_programs,
-    random_adfs,
-    random_programs,
-)
+from aft.corpus import random_programs
 from aft.fixpoints import (
     fixpoints_of,
     kripke_kleene,
@@ -45,7 +40,16 @@ from aft.fixpoints import (
 )
 from aft.lattice import FiniteLattice, PowersetLattice
 from aft.lp import _definite_lfp, fitting, parse_program, program_lattice, stable_models_oracle
-from conftest import ABC_ADF, NEG_LOOP, POS_LOOP, SEPARATOR, TWO_CYCLE
+from conftest import (
+    ABC_ADF,
+    NEG_LOOP,
+    POS_LOOP,
+    SEPARATOR,
+    TWO_CYCLE,
+    exhaustive_two_atom_count,
+    exhaustive_two_atom_programs,
+    random_adfs,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -89,9 +93,10 @@ def _check_program(prog, stats):
         stats["c2_violations"].append(prog.to_text())
 
     # 3. definite collapse
-    if prog.is_definite and not (wf.exact and wf.lower == _definite_lfp(prog)):
+    definite = all(not r.neg for r in prog.rules)
+    if definite and not (wf.exact and wf.lower == _definite_lfp(prog)):
         stats["c3_violations"].append(prog.to_text())
-    stats["definite_count"] += prog.is_definite
+    stats["definite_count"] += definite
 
     # 4. operator laws
     symmetric = is_symmetric(tab)

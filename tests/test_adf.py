@@ -12,13 +12,10 @@ from aft.adf import (
     Const,
     Not,
     Or,
-    Truth,
     Var,
     adf_approximator,
-    adf_lattice,
     attack_network,
     classical_operator,
-    eval3,
     parse_adf,
     program_to_adf,
 )
@@ -29,7 +26,6 @@ from aft.approx import (
     ultimate,
     verify_approximator,
 )
-from aft.corpus import random_adf
 from aft.errors import (
     AftError,
     LatticeMismatch,
@@ -46,7 +42,7 @@ from aft.fixpoints import (
 )
 from aft.lattice import PowersetLattice
 from aft.lp import fitting, parse_program
-from conftest import fs, nested_adf, parse_adf_oracle, support_oracle
+from conftest import Truth, eval3, fs, nested_adf, parse_adf_oracle, random_adf, support_oracle
 
 ABC = "s(a). s(b). s(c). ac(a, true). ac(b, a). ac(c, neg(b))."
 
@@ -278,7 +274,9 @@ def test_malformed_text_fails_in_linear_time(text):
 
 
 class TestEval3:
-    LAT = adf_lattice(parse_adf("s(a). ac(a, true)."))
+    # eval3 reads conftest's support_oracle, so these pin the oracle's strong
+    # Kleene tables, which the operator tests compare the engine with
+    LAT = PowersetLattice(parse_adf("s(a). ac(a, true).").statements)
 
     def tv(self, formula, lower, upper, universe=("a",)):
         from aft.lattice import PowersetLattice
@@ -333,7 +331,7 @@ class TestApproximator:
 
     def test_exact_pairs_match_classical_operator(self):
         framework = parse_adf(ABC)
-        lat = adf_lattice(framework)
+        lat = PowersetLattice(framework.statements)
         a = adf_approximator(framework, lat)
         op = classical_operator(framework, lat)
         for x in lat.elements:
@@ -530,7 +528,7 @@ def test_truth_support_agrees_with_the_two_bit_reading(seed, n, depth):
     # seeded frameworks at random pairs of subsets, consistent or not
     rng = random.Random(seed)
     framework = random_adf(rng, n, depth)
-    lat = adf_lattice(framework)
+    lat = PowersetLattice(framework.statements)
     a = adf_approximator(framework, lat)
     op = classical_operator(framework, lat)
     names = sorted(framework.statements)

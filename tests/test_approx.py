@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aft.adf import Truth, adf_approximator, classical_operator, eval3, parse_adf, program_to_adf
+from aft.adf import adf_approximator, classical_operator, parse_adf, program_to_adf
 
 from aft.approx import (
     LAW_ATOM_LIMIT,
@@ -30,7 +30,7 @@ from aft.errors import (
     NotPrecisionMonotone,
     TooManyAtoms,
 )
-from aft.corpus import random_adf, random_program
+from aft.corpus import random_program
 from aft.fixpoints import _revision, fixpoints_of, kripke_kleene, well_founded
 from aft.lattice import (
     SCAN_ATOM_LIMIT,
@@ -40,7 +40,7 @@ from aft.lattice import (
     is_monotone,
 )
 from aft.lp import fitting, parse_program, program_lattice, tp
-from conftest import fs, ultimate_oracle
+from conftest import Truth, eval3, fs, random_adf, ultimate_oracle
 
 PQ = PowersetLattice({"p", "q"})
 

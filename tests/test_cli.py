@@ -14,7 +14,7 @@ import aft
 from aft.adf import FORMULA_DEPTH_LIMIT, Adf, classical_operator, parse_adf, program_to_adf
 from aft.cli import _json_text, _text, build_parser, main
 from aft.convex import convex_kripke_kleene
-from aft.corpus import random_adf, random_formula, random_program
+from aft.corpus import random_program
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lp import fitting, parse_program, tp
 from conftest import (
@@ -25,6 +25,8 @@ from conftest import (
     TWO_CYCLE,
     convex_output_oracle,
     nested_adf,
+    random_adf,
+    random_formula,
 )
 
 SELF_ATTACK = "s(a). ac(a, neg(a)).\n"

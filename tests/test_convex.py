@@ -18,12 +18,19 @@ from aft.convex import (
     is_convex,
     lift_operator,
 )
-from aft.corpus import random_adf, random_program
+from aft.corpus import random_program
 from aft.errors import ForeignElement, InconsistentPair, TooManyAtoms, TooManyElements
 from aft.fixpoints import kripke_kleene
 from aft.lattice import SCAN_ATOM_LIMIT, FiniteLattice, LatticeOperator, PowersetLattice
 from aft.lp import parse_program, program_lattice, tp
-from conftest import FIVE_ELEMENT_LATTICES, convex_kk_oracle, fs, hull_oracle, sets_json_oracle
+from conftest import (
+    FIVE_ELEMENT_LATTICES,
+    convex_kk_oracle,
+    fs,
+    hull_oracle,
+    random_adf,
+    sets_json_oracle,
+)
 
 
 def join_a(diamond):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aft import fixpoints
-from aft.adf import adf_approximator, adf_lattice, classical_operator, program_to_adf
+from aft.adf import adf_approximator, classical_operator, program_to_adf
 from aft.approx import Approximator, ApproxPair, dual, precision_leq, ultimate
 from aft.cli import SEMANTICS, Request
-from aft.corpus import random_adf, random_adfs, random_program, random_programs
+from aft.corpus import random_program, random_programs
 from aft.errors import (
     DivergenceGuard,
     StableRevisionUndefined,
@@ -54,6 +54,8 @@ from conftest import (
     TWO_CYCLE,
     fs,
     partial_stable_oracle,
+    random_adf,
+    random_adfs,
     revision_oracle,
     stable_oracle,
     supported_oracle,
@@ -349,7 +351,7 @@ class TestUltimateSemantics:
         rng = random.Random(seed)
         if framework:
             adf = random_adf(rng, n_atoms)
-            lat = adf_lattice(adf)
+            lat = PowersetLattice(adf.statements)
             op = classical_operator(adf, lat)
         else:
             prog = random_program(rng, n_atoms)
@@ -715,6 +717,30 @@ class TestSearch:
         misses = len(computed)
         assert len(checked) == (0 if search is supported_fixpoints else misses)
         assert search is supported_fixpoints or misses > 0
+
+    @pytest.mark.parametrize(
+        "search", [supported_fixpoints, stable_models, partial_stable_fixpoints]
+    )
+    def test_explicit_lattice_searches_check_no_element(self, search, monkeypatch):
+        # on an explicit lattice a search node splits into the exact pairs of
+        # its interval, and ultimate's step meets and joins the images over
+        # one; interval checks neither bound, which came from the operator's
+        # table or were joined and met from values checked before
+        lat = FIVE_ELEMENT_LATTICES["m3"]
+        elements = sorted(lat.elements, key=str)
+        rng = random.Random(0)
+        approximators = []
+        for _ in range(200):
+            a = ultimate(LatticeOperator(lat, {x: rng.choice(elements) for x in elements}))
+            well_founded(a)
+            approximators.append(a)
+        checked = []
+        check = Lattice.check_element
+        monkeypatch.setattr(
+            Lattice, "check_element", lambda self, x: checked.append(x) or check(self, x)
+        )
+        assert sum(len(search(a)) for a in approximators) > 0
+        assert checked == []
 
     @pytest.mark.parametrize("name", ["chain5", "pentagon", "m3"])
     def test_explicit_lattices_fall_back_to_exact_pairs(self, name):

@@ -5,11 +5,12 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aft.corpus import random_adf, random_adfs, random_program, random_programs
+from aft.corpus import random_program, random_programs
 from aft.errors import ForeignAtom, LatticeMismatch, ParseError, TooManyAtoms
+from aft.fixpoints import partial_stable_fixpoints, stable_models, well_founded
 from aft.lattice import PowersetLattice
 from aft.lp import (
     LogicProgram,
@@ -17,13 +18,19 @@ from aft.lp import (
     _definite_lfp,
     fitting,
     gl_reduct,
-    is_stratified,
     parse_program,
     program_lattice,
     stable_models_oracle,
     tp,
 )
-from conftest import fitting_step_oracle, fs, parse_program_oracle
+from conftest import (
+    fitting_step_oracle,
+    fs,
+    is_stratified,
+    parse_program_oracle,
+    random_adf,
+    random_adfs,
+)
 
 
 # (text, line, column, message) of the first ParseError: CRLF and tab each
@@ -491,6 +498,20 @@ def stratified_by_closure(program):
 @given(programs())
 def test_stratified_matches_transitive_closure(prog):
     assert is_stratified(prog) == stratified_by_closure(prog)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_a_stratified_program_has_one_stable_model_the_well_founded_one(seed, n):
+    # Van Gelder, Ross and Schlipf (JACM 1991): on a stratified program the
+    # well-founded model is two-valued and is the only stable model
+    prog = random_program(random.Random(seed), n)
+    assume(is_stratified(prog))
+    a = fitting(prog)
+    wf, _ = well_founded(a)
+    assert wf.exact
+    assert stable_models(a) == {wf.lower} == stable_models_oracle(prog)
+    assert partial_stable_fixpoints(a) == {wf}
 
 
 def test_random_program_over_no_atoms_is_empty():
