@@ -53,7 +53,7 @@ import functools
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
-from .approx import Approximator
+from .approx import Approximator, _built_in
 from .errors import MissingCondition, UndeclaredStatement
 from .lattice import LatticeOperator, PowersetLattice, iterate, powerset_of
 from .lp import LogicProgram, _syntax_error, _words
@@ -328,7 +328,7 @@ def adf_approximator(adf: Adf, lattice: PowersetLattice | None = None) -> Approx
     def revision(y):
         return iterate(lambda z: lower(z, y), lat.bottom, lat.height + 1, "revision of adf")[-1]
 
-    return Approximator(
+    return _built_in(
         lat, lambda x, y: (lower(x, y), lower(y, x)), operator=op, name="adf", revision=revision
     )
 

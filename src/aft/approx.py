@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DoesNotApproximateO,
-    ForeignElement,
     InconsistentPair,
     LatticeMismatch,
     NotPrecisionMonotone,
@@ -78,9 +77,10 @@ class ApproxPair:
 
 
 def _known_pair(lattice: Lattice, lower: Element, upper: Element) -> ApproxPair:
-    """The pair (lower, upper) of elements already checked to be in
-    ``lattice``: by ``Approximator.apply``, as the revision hook's results,
-    or as its bottom and top. It is built without checking them again."""
+    """The pair (lower, upper) of elements known to be in ``lattice``:
+    results of ``Approximator.apply`` or of the revision hook, whose values
+    were checked where they entered (see ``Approximator``), or its bottom
+    and top. It is built without checking them again."""
     pair = object.__new__(ApproxPair)
     pair.__dict__.update(lattice=lattice, lower=lower, upper=upper)
     return pair
@@ -121,11 +121,16 @@ class Approximator:
     z -> A(x, z).upper the same function as z -> A(z, x).lower, so
     ``revision(x)`` is also the upper revision at x.
 
-    Each value is checked once, where it enters: ``apply`` checks the
-    mapping's outputs and ``fixpoints`` the hook's results, so the fixpoint
-    routines build their pairs from them unchecked. ``fixpoints`` keeps on
-    it the last four revisions and, once computed, the Kripke-Kleene and
-    well-founded fixpoints, which every semantics read off it shares.
+    Each value is checked where it enters, never per application: a table
+    when the approximator is built, and a given callable's outputs and
+    hook's results by a check wrapped around them, which raises
+    ForeignElement on every call that returns a foreign value. The built-in
+    constructions (``fitting``, ``adf_approximator``, ``ultimate``,
+    ``dual``) return elements of the lattice and are stored unwrapped
+    (``_built_in``), so ``apply`` checks only consistency. ``fixpoints``
+    keeps on it the last four revisions and, once computed, the
+    Kripke-Kleene and well-founded fixpoints, which every semantics read off
+    it shares.
     """
 
     def __init__(
@@ -146,12 +151,18 @@ class Approximator:
         self.operator = operator
         self.name = name
         self.consistent_only = consistent_only
-        self.revision = revision
+        check = lattice.check_element
         if isinstance(mapping, Mapping):
-            table = dict(mapping)
+            table = {key: (check(lo), check(hi)) for key, (lo, hi) in mapping.items()}
             self._fn = lambda lo, hi: table[(lo, hi)]
         else:
-            self._fn = mapping
+
+            def checked(lower: Element, upper: Element) -> RawPair:
+                out_lo, out_hi = mapping(lower, upper)
+                return (check(out_lo), check(out_hi))
+
+            self._fn = checked
+        self.revision = None if revision is None else lambda at: check(revision(at))
         # bound, and side without a hook -> one of the last four revisions,
         # filled by ``fixpoints``
         self._revisions: dict[object, Element | None] = {}
@@ -162,12 +173,7 @@ class Approximator:
     def apply(self, lower: Element, upper: Element) -> RawPair:
         if self.consistent_only and not self.lattice.leq(lower, upper):
             raise InconsistentPair((lower, upper))
-        out_lo, out_hi = self._fn(lower, upper)
-        if not self.lattice.has(out_lo):
-            raise ForeignElement(out_lo)
-        if not self.lattice.has(out_hi):
-            raise ForeignElement(out_hi)
-        return (out_lo, out_hi)
+        return self._fn(lower, upper)
 
     def __call__(self, p: ApproxPair) -> ApproxPair:
         if not (p.lattice is self.lattice or p.lattice == self.lattice):
@@ -197,6 +203,15 @@ class Approximator:
 
     def __repr__(self) -> str:
         return f"<Approximator {self.name} on {self.lattice!r}>"
+
+
+def _built_in(lattice: Lattice, mapping: Callable, **kwargs) -> Approximator:
+    """An approximator whose mapping and revision hook, built-in ones that
+    return elements of ``lattice``, are stored as given, not wrapped in a
+    check."""
+    a = Approximator(lattice, mapping, **kwargs)
+    a._fn, a.revision = mapping, kwargs.get("revision")
+    return a
 
 
 def is_precision_monotone(a: Approximator) -> LawCheck:
@@ -281,13 +296,15 @@ def ultimate(op: LatticeOperator) -> Approximator:
     2**SCAN_ATOM_LIMIT elements are refused, since one step from
     (bottom, top) visits every element.
     """
-    lattice, deps = op.lattice, op.dependencies
-    if deps is not None:
-        parents = deps.parents
+    lattice, parts = op.lattice, op._dependency_parts
+    if parts is not None:
+        # refused from the parents alone, before the dependencies' codec
+        # and rows, quadratic in the atoms, are built
+        parents = parts[0]
         if max(map(len, parents.values()), default=0) > SCAN_ATOM_LIMIT:
             widest = max(sorted(parents), key=lambda p: len(parents[p]))
             raise TooManyAtoms(len(parents[widest]), SCAN_ATOM_LIMIT, "ultimate", widest)
-        step = deps.bounds
+        step = op.dependencies.bounds
     else:
         check_atoms(lattice, SCAN_ATOM_LIMIT, "ultimate")
 
@@ -295,9 +312,7 @@ def ultimate(op: LatticeOperator) -> Approximator:
             images = [op(z) for z in lattice.interval(lower, upper)]
             return (functools.reduce(lattice.meet, images), functools.reduce(lattice.join, images))
 
-    return Approximator(
-        lattice, step, operator=op, name=f"ultimate({op.name})", consistent_only=True
-    )
+    return _built_in(lattice, step, operator=op, name=f"ultimate({op.name})", consistent_only=True)
 
 
 def dual(a: Approximator) -> Approximator:
@@ -312,7 +327,7 @@ def dual(a: Approximator) -> Approximator:
         out_lo, out_hi = a.apply(upper, lower)
         return (out_hi, out_lo)
 
-    return Approximator(
+    return _built_in(
         a.lattice,
         step,
         operator=a.operator,

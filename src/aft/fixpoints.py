@@ -11,12 +11,11 @@ The stable operator's two inner least fixpoints, the revisions, come from
 one routine: the approximator's ``revision`` hook when it carries one, as
 both frontends' approximators do, and otherwise iterating a projection of
 the approximator, as for ``ultimate``, ``dual`` and tabulated ones. Either
-way the approximator keeps the last four, and a hook's results are checked
-once, when computed. A revision of a consistency-restricted approximator is
-undefined once an iterate leaves the consistent region, which
-``Approximator.apply`` detects. The upper revision depends on the lower
-bound alone, so each lower has a single candidate upper, and partial stable
-pairs are found by a search over lowers.
+way the approximator keeps the last four. A revision of a
+consistency-restricted approximator is undefined once an iterate leaves the
+consistent region, which ``Approximator.apply`` detects. The upper revision
+depends on the lower bound alone, so each lower has a single candidate
+upper, and partial stable pairs are found by a search over lowers.
 
 The Kripke-Kleene and well-founded iterations and the iterated revisions
 all run through ``aft.lattice.iterate``: the outer ones bounded by twice the
@@ -27,9 +26,12 @@ precision-increasing sequence it walked, which the command line can replay.
 Each approximator remembers its Kripke-Kleene and well-founded fixpoints
 once computed, so the searches that start from them, and a
 second request for either, do not iterate again; every call gets its own
-trace list. The pairs of traces and results are built from values that
-``apply`` or the revision hook has already checked, and are not checked
-again.
+trace list.
+
+Nothing here tests a value for membership in the lattice: every value
+comes from ``apply`` or the revision hook, whose results ``Approximator``
+checks where they enter (see there), so the pairs of traces and results are
+built unchecked.
 
 The well-founded fixpoint is the precision-least fixpoint of the stable
 operator, and the Kripke-Kleene fixpoint lies below it in precision and
@@ -165,7 +167,7 @@ def _revision(a: Approximator, at: Element, lower: bool):
         return kept[key]
     except KeyError:
         pass
-    out = a.lattice.check_element(hook(at)) if hook is not None else _iterated(a, at, lower)
+    out = hook(at) if hook is not None else _iterated(a, at, lower)
     kept[key] = out
     # pop what a thread sharing the approximator may have evicted already
     for old in list(kept)[:-4]:

@@ -32,7 +32,7 @@ import re
 import threading
 from dataclasses import dataclass
 
-from .approx import Approximator
+from .approx import Approximator, _built_in
 from .errors import ForeignAtom, ParseError, TooManyAtoms
 from .lattice import LatticeOperator, PowersetLattice, powerset_of
 
@@ -419,7 +419,7 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
             last_x, last_y = x, y
             return lower(x_in, x_out, y_in, y_out), upper(y_in, y_out, x_in, x_out)
 
-    return Approximator(op.lattice, step, operator=op, name="fitting", revision=least_fixpoint)
+    return _built_in(op.lattice, step, operator=op, name="fitting", revision=least_fixpoint)
 
 
 def gl_reduct(program: LogicProgram, model: frozenset) -> LogicProgram:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,24 @@ class TestUltimate:
         a = ultimate(tp(two_cycle, lat))
         assert verify_approximator(a) is a
 
+    def test_refuses_a_wide_atom_before_building_anything_quadratic(self):
+        # the in-degree is read from the operator's parents, before the
+        # codec and the rows of its dependencies, O(n**2) bits, are built
+        n = 20_000
+        body = ", ".join(f"a{i}" for i in range(SCAN_ATOM_LIMIT + 1))
+        chain = "".join(f"a{i + 1} :- a{i}.\n" for i in range(n - 2))
+        op = tp(parse_program(f"a0.\n{chain}w :- {body}.\n"))
+        assert len(op.lattice.universe) == n
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyAtoms) as info:
+                ultimate(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.count, info.value.witness) == (SCAN_ATOM_LIMIT + 1, "w")
+        assert peak < 20 * 2**20
+
     def test_dominates_fitting(self, two_cycle, separator):
         for prog in (two_cycle, separator):
             lat = program_lattice(prog)
@@ -442,6 +461,20 @@ class TestChecksAtTheBoundary:
             with pytest.raises(ForeignElement):
                 _revision(a, fs("p"), True)
         assert calls == [fs("p")] * 3 and a._revisions == {}
+
+    def test_a_table_with_a_foreign_value_is_refused_when_built(self):
+        # a table is checked once, when its approximator or operator is
+        # built, not when the foreign entry is first applied
+        table = {key: key for key in itertools.product(PQ.elements, repeat=2)}
+        table[(fs(), fs())] = (fs(), fs("z"))
+        with pytest.raises(ForeignElement) as info:
+            Approximator(PQ, table)
+        assert info.value.element == fs("z")
+        images = {x: x for x in PQ.elements}
+        images[fs("p")] = fs("p", "z")
+        with pytest.raises(ForeignElement) as info:
+            LatticeOperator(PQ, images)
+        assert info.value.element == fs("p", "z")
 
     def test_user_pairs_are_checked(self):
         with pytest.raises(ForeignElement):

@@ -16,6 +16,7 @@ from aft.cli import _json_text, _text, build_parser, main
 from aft.convex import convex_kripke_kleene
 from aft.corpus import random_program
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
+from aft.lattice import Lattice, PowersetLattice
 from aft.lp import fitting, parse_program, tp
 from conftest import (
     ABC_ADF,
@@ -380,6 +381,31 @@ class TestUltimateAtScale:
             ult = doc[f"ultimate-{name}"]
             assert set(doc[name]["lower"]) <= set(ult["lower"])
             assert set(ult["upper"]) <= set(doc[name]["upper"])
+
+
+EVEN_CYCLE = "\n".join(f"a{i} :- not a{(i + 1) % 16}." for i in range(16))
+
+
+def test_requests_check_no_value_the_engine_computes(capsys, monkeypatch):
+    # the input is checked where it enters, by the parsers; every value a
+    # request computes from it comes from a built-in mapping, operator or
+    # revision hook, and none is tested for membership again
+    checked = []
+    for cls, name in ((PowersetLattice, "has"), (Lattice, "check_element")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda self, x, m=method, n=name: checked.append(n) or m(self, x)
+        )
+    codes = []
+    inputs = [("lp", TWO_CYCLE), ("lp", SEPARATOR), ("lp", EVEN_CYCLE), ("adf", ABC_ADF)]
+    for frontend, text in inputs:
+        run_ = [frontend, "-", "--semantics", "all", "--format", "json"]
+        for argv in (run_, run_ + ["--trace"], run_ + ["--validate"], ["check", frontend, "-"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            codes.append(run(capsys, *argv)[0])
+    # the law checks refuse the 16-atom cycle
+    assert codes == [0] * 8 + [0, 0, 1, 1] + [0] * 4
+    assert checked == []
 
 
 class TestWellFoundedSeededFromKripkeKleene:
