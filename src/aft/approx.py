@@ -26,7 +26,15 @@ from .errors import (
     NotPrecisionMonotone,
     TooManyAtoms,
 )
-from .lattice import SCAN_ATOM_LIMIT, Element, Lattice, LatticeOperator, LawCheck, check_atoms
+from .lattice import (
+    SCAN_ATOM_LIMIT,
+    Element,
+    Lattice,
+    LatticeOperator,
+    LawCheck,
+    check_atoms,
+    least_witness,
+)
 
 RawPair = tuple[Element, Element]
 
@@ -127,10 +135,12 @@ class Approximator:
     ForeignElement on every call that returns a foreign value. The built-in
     constructions (``fitting``, ``adf_approximator``, ``ultimate``,
     ``dual``) return elements of the lattice and are stored unwrapped
-    (``_built_in``), so ``apply`` checks only consistency. ``fixpoints``
-    keeps on it the last four revisions and, once computed, the
-    Kripke-Kleene and well-founded fixpoints, which every semantics read off
-    it shares.
+    (``_built_in``), so ``apply`` checks only consistency. ``fitting`` also
+    carries a Kripke-Kleene hook there, one linear propagation over its
+    rules. ``fixpoints`` keeps on it the last four revisions and, once
+    computed, the Kripke-Kleene and well-founded fixpoints, which every
+    semantics read off it shares: the walks with their traces, and the
+    hook's Kripke-Kleene fixpoint apart from the walk.
     """
 
     def __init__(
@@ -163,12 +173,15 @@ class Approximator:
 
             self._fn = checked
         self.revision = None if revision is None else lambda at: check(revision(at))
+        # () -> the Kripke-Kleene fixpoint as a raw pair, set by ``_built_in``
+        self._kripke_kleene: Callable[[], RawPair] | None = None
         # bound, and side without a hook -> one of the last four revisions,
         # filled by ``fixpoints``
         self._revisions: dict[object, Element | None] = {}
         # construction name, or name and start pair -> (fixpoint, trace),
-        # filled by ``fixpoints``
-        self._fixpoints: dict[object, tuple[ApproxPair, list[ApproxPair]]] = {}
+        # and "Kripke-Kleene fixpoint" -> the hook's pair, filled by
+        # ``fixpoints``
+        self._fixpoints: dict[object, tuple[ApproxPair, list[ApproxPair]] | ApproxPair] = {}
 
     def apply(self, lower: Element, upper: Element) -> RawPair:
         if self.consistent_only and not self.lattice.leq(lower, upper):
@@ -205,12 +218,17 @@ class Approximator:
         return f"<Approximator {self.name} on {self.lattice!r}>"
 
 
-def _built_in(lattice: Lattice, mapping: Callable, **kwargs) -> Approximator:
+def _built_in(
+    lattice: Lattice, mapping: Callable, *, kripke_kleene: Callable | None = None, **kwargs
+) -> Approximator:
     """An approximator whose mapping and revision hook, built-in ones that
     return elements of ``lattice``, are stored as given, not wrapped in a
-    check."""
+    check. ``kripke_kleene``, when given, returns the approximator's
+    Kripke-Kleene fixpoint as a raw pair, which ``fixpoints.kripke_kleene``
+    then reads instead of iterating when no trace is wanted."""
     a = Approximator(lattice, mapping, **kwargs)
     a._fn, a.revision = mapping, kwargs.get("revision")
+    a._kripke_kleene = kripke_kleene
     return a
 
 
@@ -219,17 +237,18 @@ def is_precision_monotone(a: Approximator) -> LawCheck:
 
     Comparing along precision covers suffices: any comparison decomposes into
     a chain of covers and the pointwise comparisons compose transitively. A
-    failing witness is such a covering pair of pairs. Each image is computed
-    once, up front.
+    failing witness is the least such covering pair of pairs
+    (``least_witness``). Each image is computed once, up front.
     """
     lat = a.lattice
     images = {key: a.apply(*key) for key in a.domain()}
+    failures = []
     for (lo, hi), (out_lo, out_hi) in images.items():
         for cover in a._domain_cover_successors(lo, hi):
             cover_lo, cover_hi = images[cover]
             if not (lat.leq(out_lo, cover_lo) and lat.leq(cover_hi, out_hi)):
-                return LawCheck(False, ((lo, hi), cover))
-    return LawCheck(True)
+                failures.append(((lo, hi), cover))
+    return least_witness(lat, failures, lambda w: (*w[0], *w[1]))
 
 
 def brackets_operator(a: Approximator) -> LawCheck:
@@ -241,12 +260,13 @@ def brackets_operator(a: Approximator) -> LawCheck:
         raise ValueError("no base operator attached")
     lat = a.lattice
     check_atoms(lat, SCAN_ATOM_LIMIT, "bracketing check")
+    failures = []
     for x in lat.elements:
         out_lo, out_hi = a.apply(x, x)
         ox = op(x)
         if not (lat.leq(out_lo, ox) and lat.leq(ox, out_hi)):
-            return LawCheck(False, (x,))
-    return LawCheck(True)
+            failures.append((x,))
+    return least_witness(lat, failures)
 
 
 def verify_approximator(a: Approximator) -> Approximator:
@@ -273,12 +293,14 @@ def is_exact_approximator(a: Approximator) -> LawCheck:
     op = a.operator
     if op is None:
         raise ValueError("no base operator attached")
-    check_atoms(a.lattice, SCAN_ATOM_LIMIT, "exactness check")
-    for x in a.lattice.elements:
+    lat = a.lattice
+    check_atoms(lat, SCAN_ATOM_LIMIT, "exactness check")
+    failures = []
+    for x in lat.elements:
         ox = op(x)
         if a.apply(x, x) != (ox, ox):
-            return LawCheck(False, (x,))
-    return LawCheck(True)
+            failures.append((x,))
+    return least_witness(lat, failures)
 
 
 def ultimate(op: LatticeOperator) -> Approximator:
@@ -346,7 +368,8 @@ def is_symmetric(a: Approximator) -> LawCheck:
     lat = a.lattice
     pairs = (p for p in a.domain() if not a.consistent_only or lat.leq(p[1], p[0]))
     images = {p: a.apply(*p) for p in pairs}
+    failures = []
     for (lo, hi), (out_lo, out_hi) in images.items():
         if images[(hi, lo)] != (out_hi, out_lo):
-            return LawCheck(False, ((lo, hi),))
-    return LawCheck(True)
+            failures.append(((lo, hi),))
+    return least_witness(lat, failures, lambda w: w[0])

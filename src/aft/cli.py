@@ -60,12 +60,12 @@ from .lp import fitting, parse_program, program_lattice
 # set. The functions look the engine's names up when called, so a module
 # global replaced after import (by a tracer, say) is the one used.
 SEMANTICS = {
-    "kk": ("pair", lambda r: kripke_kleene(r.approximator)),
+    "kk": ("pair", lambda r: kripke_kleene(r.approximator, trace=r.trace)),
     "wf": ("pair", lambda r: well_founded(r.approximator, trace=r.trace)),
     "supported": ("sets", lambda r: (supported_fixpoints(r.approximator), None)),
     "stable": ("sets", lambda r: (stable_models(r.approximator), None)),
     "partial-stable": ("pairs", lambda r: (partial_stable_fixpoints(r.approximator), None)),
-    "ultimate-kk": ("pair", lambda r: kripke_kleene(r.ultimate)),
+    "ultimate-kk": ("pair", lambda r: kripke_kleene(r.ultimate, trace=r.trace)),
     "ultimate-wf": ("pair", lambda r: well_founded(r.ultimate, trace=r.trace)),
     "convex-kk": ("convex", lambda r: convex_kripke_kleene(r.approximator.operator)),
 }

@@ -21,15 +21,17 @@ The Kripke-Kleene and well-founded iterations and the iterated revisions
 all run through ``aft.lattice.iterate``: the outer ones bounded by twice the
 lattice height, the inner ones by the height, and all of them stopped with
 DivergenceGuard, and the cycle, at the first revisited value.
-Iteration traces are first-class outputs: each construction returns the full
+Iteration traces are first-class outputs: each construction returns the
 precision-increasing sequence it walked, which the command line can replay.
-Each approximator remembers its Kripke-Kleene and well-founded fixpoints
-once computed, so the searches that start from them, and a
-second request for either, do not iterate again; every call gets its own
-trace list.
+When no trace is wanted, a program's approximator computes its
+Kripke-Kleene fixpoint in one linear propagation instead of walking, and
+the trace returned is that fixpoint alone. Each approximator remembers its
+Kripke-Kleene and well-founded fixpoints once computed, so the searches
+that start from them, and a second request for either, do not iterate
+again; every call gets its own trace list.
 
 Nothing here tests a value for membership in the lattice: every value
-comes from ``apply`` or the revision hook, whose results ``Approximator``
+comes from ``apply`` or a hook, whose results ``Approximator``
 checks where they enter (see there), so the pairs of traces and results are
 built unchecked.
 
@@ -85,14 +87,27 @@ def _pair_trace(
     return known[0], list(known[1])
 
 
-def kripke_kleene(a: Approximator) -> tuple[ApproxPair, list[ApproxPair]]:
+def kripke_kleene(a: Approximator, *, trace: bool = True) -> tuple[ApproxPair, list[ApproxPair]]:
     """The precision-least fixpoint of the approximator, with its trace.
 
-    Iterates from (bottom, top); for a precision-monotone operator the trace
-    is precision-increasing and stabilizes within twice the lattice height.
-    The approximator remembers the result, so a later call iterates no more.
+    With ``trace`` set, or for an approximator without a Kripke-Kleene hook
+    (frameworks, ``ultimate``, ``dual``, tables), it iterates from
+    (bottom, top); for a precision-monotone operator the trace is
+    precision-increasing and stabilizes within twice the lattice height.
+    Without it, a program's approximator computes the fixpoint in one
+    linear pass (``lp._kripke_kleene``), applies nothing, and the trace is
+    the fixpoint alone. The approximator remembers the walk and the hook's
+    pair apart, so a later call iterates no more; a walk already remembered
+    also serves an untraced call.
     """
-    return _pair_trace(a, lambda p: a.apply(*p), f"Kripke-Kleene iteration of {a.name}")
+    what = f"Kripke-Kleene iteration of {a.name}"
+    hook = a._kripke_kleene
+    if trace or hook is None or what in a._fixpoints:
+        return _pair_trace(a, lambda p: a.apply(*p), what)
+    known = a._fixpoints.get("Kripke-Kleene fixpoint")
+    if known is None:
+        known = a._fixpoints["Kripke-Kleene fixpoint"] = _known_pair(a.lattice, *hook())
+    return known, [known]
 
 
 def fixpoints_of(a: Approximator) -> frozenset[ApproxPair]:
@@ -144,7 +159,7 @@ def supported_fixpoints(a: Approximator) -> frozenset[Element]:
     A(lo, hi), so the search starts at the former and propagates with A.
     """
     lat = a.lattice
-    kk, _ = kripke_kleene(a)
+    kk, _ = kripke_kleene(a, trace=False)
     check_atoms(lat, SCAN_ATOM_LIMIT, "supported scan", kk.raw())
     return _search(a, kk.raw(), a.apply, lambda x: a.apply(x, x) == (x, x))
 
@@ -341,4 +356,4 @@ def well_founded(a: Approximator, *, trace: bool = True) -> tuple[ApproxPair, li
     what = f"well-founded iteration of {a.name}"
     if trace or what in a._fixpoints:
         return _pair_trace(a, step, what)
-    return _pair_trace(a, step, what, kripke_kleene(a)[0].raw())
+    return _pair_trace(a, step, what, kripke_kleene(a, trace=False)[0].raw())

@@ -63,6 +63,18 @@ class LawCheck:
         return self.holds
 
 
+def least_witness(lattice: "Lattice", failures: list, elements: Callable = tuple) -> LawCheck:
+    """The outcome of a law check that found ``failures``: it holds when
+    there is none, and fails otherwise with the least of them, compared by
+    the lattice's ``sort_key`` of the elements ``elements`` lists in each.
+    So the witness reported depends on the input alone, not on the order in
+    which a run's sets happen to list their members."""
+    if not failures:
+        return LawCheck(True)
+    key = lattice.sort_key
+    return LawCheck(False, min(failures, key=lambda w: [key(x) for x in elements(w)]))
+
+
 def check_atoms(lattice: "Lattice", limit: int, what: str, bounds: tuple | None = None) -> None:
     """Refuse with TooManyAtoms naming the construction ``what`` when more
     than ``limit`` atoms lie between the pair ``bounds``, by default the
@@ -103,6 +115,12 @@ class Lattice:
 
     def lt(self, a: Element, b: Element) -> bool:
         return a != b and self.leq(a, b)
+
+    def sort_key(self, x: Element):
+        """A key that orders elements the same way in every run, whatever
+        the hash seed, for the law checks' witnesses: here the repr; a
+        powerset orders by size, then by sorted atoms."""
+        return repr(x)
 
     def atoms_between(self, x: Element, y: Element) -> int:
         """The atoms left open between x and y: ceil(log2) of the number of
@@ -377,6 +395,9 @@ class PowersetLattice(Lattice):
     def atoms_between(self, x, y) -> int:
         return len(y - x)
 
+    def sort_key(self, x) -> tuple:
+        return (len(x), sorted(x))
+
     def split(self, x, y) -> list[tuple[frozenset, frozenset]]:
         """The least atom left open between x and y, once true and once
         false."""
@@ -476,18 +497,19 @@ def is_monotone(op: LatticeOperator) -> LawCheck:
 
     It suffices to compare along covering pairs: any x <= y decomposes into
     a chain of covers, and the pointwise comparisons compose transitively.
-    A failing witness is such a covering pair. Each image is computed once,
-    up front. Lattices of more than 2**SCAN_ATOM_LIMIT elements are refused
-    with TooManyAtoms.
+    A failing witness is the least such covering pair (``least_witness``).
+    Each image is computed once, up front. Lattices of more than
+    2**SCAN_ATOM_LIMIT elements are refused with TooManyAtoms.
     """
     lat = op.lattice
     check_atoms(lat, SCAN_ATOM_LIMIT, "monotonicity check")
     images = {x: op(x) for x in lat.elements}
+    failures = []
     for x, ox in images.items():
         for y in lat.up_covers(x):
             if not lat.leq(ox, images[y]):
-                return LawCheck(False, (x, y))
-    return LawCheck(True)
+                failures.append((x, y))
+    return least_witness(lat, failures)
 
 
 def iterate(step: Callable[[Element], Element], start: Element, bound: int, what: str) -> list:

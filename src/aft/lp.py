@@ -22,7 +22,8 @@ classical reduct, which ``benchmark/reference.py`` checks stable models
 against. The approximator is built from one lower step, and
 carries that step's least fixpoint, the least model of the reduct, as its
 ``revision`` hook; each least model grows from one the hook computed
-before, at a set that contains the new one.
+before, at a set that contains the new one. Its Kripke-Kleene fixpoint is
+one pass of three-valued propagation over the same rule tables.
 """
 
 from __future__ import annotations
@@ -385,6 +386,69 @@ def _lower_step(heads, sizes, pos_watch, neg_watch):
     return step, least_fixpoint
 
 
+def _kripke_kleene(universe, heads, sizes, pos_watch, neg_watch):
+    """The Kripke-Kleene fixpoint of Fitting's approximator, as a raw pair,
+    by one pass of three-valued propagation from (empty, universe) over the
+    rule tables, linear in the program (Fitting 1985; the counting of
+    Dowling and Gallier 1984).
+
+    Every rule counts its literals not yet satisfied, a positive atom not
+    yet true or a negative one not yet false, and every atom the rules with
+    it as head that no literal has yet falsified. An atom becomes true when
+    one of its rules' counts reaches zero and false when its own count
+    does, so atoms that head no rule are false from the start; each atom is
+    decided once, and then propagated once through the rules that watch it.
+
+    Why the pass ends at the fixpoint kk of the approximator A, the
+    precision-least one:
+
+    - each decision is justified by some Kleene iterate from
+      (empty, universe): by induction, once the atoms of a rule's body are
+      decided in iterates up to the k-th, A puts the head in the next
+      iterate's lower bound, or takes it out of the upper bound when every
+      rule of the head is falsified; the iterates rise in precision, A
+      being precision-monotone, so every pair of decided atoms lies at or
+      below kk in precision. In particular no atom is decided both ways;
+    - when the agenda is empty, the heads of the rules with no literal left
+      unsatisfied are exactly the true atoms, and the heads of the rules
+      with no literal falsified exactly the atoms not false; so the pair
+      (true, universe - false) is a fixpoint of A;
+    - a fixpoint at or below kk in precision can only be kk.
+    """
+    waiting = list(sizes)
+    for rules in neg_watch.values():
+        for i in rules:
+            waiting[i] += 1
+    support: dict[str, int] = {}
+    for h in heads:
+        support[h] = support.get(h, 0) + 1
+    alive = [True] * len(heads)
+    true, false = set(), set()
+    # atoms to decide, each with its truth value: the heads of facts true
+    # and the atoms that head no rule false
+    agenda = [(a, False) for a in universe.difference(support)]
+    agenda += [(h, True) for h, n in zip(heads, waiting) if n == 0]
+    while agenda:
+        atom, value = agenda.pop()
+        decided = true if value else false
+        if atom in decided:
+            continue
+        decided.add(atom)
+        satisfied, falsified = (pos_watch, neg_watch) if value else (neg_watch, pos_watch)
+        for i in satisfied.get(atom, ()):
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                agenda.append((heads[i], True))
+        for i in falsified.get(atom, ()):
+            if alive[i]:
+                alive[i] = False
+                h = heads[i]
+                support[h] -= 1
+                if support[h] == 0:
+                    agenda.append((h, False))
+    return frozenset(true), universe.difference(false)
+
+
 def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Approximator:
     """The four-valued bracketing operator of a program.
 
@@ -399,7 +463,9 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
     over shared rule tables, one per bound, evaluate it semi-naively from
     the changes of both bounds, computed once per call, and its least
     fixpoint at y, the least model of the reduct by y, is the ``revision``
-    hook.
+    hook. Its Kripke-Kleene fixpoint is computed by one propagation over the
+    same tables (``_kripke_kleene``), which ``fixpoints.kripke_kleene``
+    calls when no trace is wanted.
     """
     op = tp(program, lattice)
     tables = _rule_tables(program)
@@ -419,7 +485,14 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
             last_x, last_y = x, y
             return lower(x_in, x_out, y_in, y_out), upper(y_in, y_out, x_in, x_out)
 
-    return _built_in(op.lattice, step, operator=op, name="fitting", revision=least_fixpoint)
+    return _built_in(
+        op.lattice,
+        step,
+        operator=op,
+        name="fitting",
+        revision=least_fixpoint,
+        kripke_kleene=lambda: _kripke_kleene(op.lattice.top, *tables),
+    )
 
 
 def gl_reduct(program: LogicProgram, model: frozenset) -> LogicProgram:

@@ -728,6 +728,28 @@ class TestCheck:
         assert "precision-monotone: FAIL" in out
         assert "witness" in out
 
+    def test_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # fitting's table of the two-cycle with each output's bounds swapped
+        # fails precision-monotonicity at (empty, empty) towards both of its
+        # covers; the one reported is the least, not the first in set order
+        a = fitting(parse_program(TWO_CYCLE))
+        pairs = []
+        for lo, hi in sorted(a.domain(), key=lambda p: (sorted(p[0]), sorted(p[1]))):
+            out_lo, out_hi = a.apply(lo, hi)
+            pairs.append({"in": [sorted(lo), sorted(hi)], "out": [sorted(out_hi), sorted(out_lo)]})
+        path = write(tmp_path, "swap2.json", json.dumps({"universe": ["p", "q"], "pairs": pairs}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aft.__file__)))
+        outs = {
+            subprocess.run(
+                [sys.executable, "-m", "aft.cli", "check", "tab", path],
+                capture_output=True, text=True, timeout=60, env=dict(env, PYTHONHASHSEED=str(seed)),
+            ).stdout
+            for seed in range(5)
+        }
+        assert len(outs) == 1
+        witness = "((frozenset(), frozenset()), (frozenset({'p'}), frozenset()))"
+        assert outs.pop().splitlines()[0] == f"precision-monotone: FAIL  witness: {witness}"
+
     def test_tab_must_be_total(self, tmp_path, capsys):
         table = {"universe": ["p"], "pairs": [{"in": [[], []], "out": [[], []]}]}
         path = write(tmp_path, "partial.json", json.dumps(table))

@@ -487,6 +487,73 @@ class TestRememberedFixpoints:
         assert peak < 1_000_000
 
 
+def definite_chain(n):
+    """a0.  a{i+1} :- a{i}.  (n atoms, n layers of derivation)"""
+    return parse_program("a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(n - 1)))
+
+
+class TestKripkeKleeneHook:
+    """Without a trace a program's approximator computes its Kripke-Kleene
+    fixpoint by one propagation over its rules, which must end where the
+    walk from (bottom, top) ends, apply nothing and keep no iterate."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 3))
+    def test_agrees_with_the_walk(self, seed, n_atoms, max_body):
+        # the generator makes facts, rules with empty bodies and atoms that
+        # head no rule; an even negative cycle and an atom that occurs only
+        # in a body are added at random
+        rng = random.Random(seed)
+        prog = random_program(rng, n_atoms, max_body)
+        atoms = sorted(prog.atoms)
+        rules = list(prog.rules)
+        if len(atoms) >= 2 and rng.random() < 0.5:
+            p, q = rng.sample(atoms, 2)
+            rules += [Rule(p, neg=fs(q)), Rule(q, neg=fs(p))]
+        if atoms and rng.random() < 0.5:
+            body = {"pos" if rng.random() < 0.5 else "neg": fs("headless")}
+            rules.append(Rule(rng.choice(atoms), **body))
+        prog = LogicProgram(rules)
+        walked, _ = kripke_kleene(fitting(prog))
+        hooked, trace = kripke_kleene(fitting(prog), trace=False)
+        assert hooked == walked and trace == [hooked]
+
+    def test_applies_nothing(self, monkeypatch):
+        calls = []
+        apply = Approximator.apply
+        monkeypatch.setattr(
+            Approximator,
+            "apply",
+            lambda self, lo, hi: calls.append((lo, hi)) or apply(self, lo, hi),
+        )
+        a = fitting(chain_program(20))
+        kk, trace = kripke_kleene(a, trace=False)
+        assert kk.exact and trace == [kk] and calls == []
+        # the searches and the untraced well-founded iteration read it too:
+        # the supported search applies A once, to check its exact start
+        assert supported_fixpoints(a) == {kk.lower} and calls == [kk.raw()]
+        assert well_founded(a, trace=False)[0] == kk and len(calls) == 1
+        # remembered apart from the walk, which a traced call still makes
+        assert kripke_kleene(a, trace=False) == (kk, [kk]) and len(calls) == 1
+        walked, walk = kripke_kleene(a)
+        assert walked == kk and len(walk) > 2 and len(calls) == 1 + len(walk)
+        # and which then serves an untraced call
+        assert kripke_kleene(a, trace=False) == (kk, walk)
+
+    def test_a_long_definite_chain_keeps_no_iterate(self):
+        # the walk from (bottom, top) keeps 4,000 iterates, each pair of
+        # bounds up to 4,000 atoms, several hundred MB
+        a = fitting(definite_chain(4000))
+        tracemalloc.start()
+        try:
+            kk, _ = kripke_kleene(a, trace=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kk.exact and len(kk.lower) == 4000
+        assert peak < 20_000_000
+
+
 def with_positive_loops(prog, rng):
     """The program with a rule p :- q added for about a third of its atoms p,
     q drawn among them, p included: loops that kk leaves unknown and wf
