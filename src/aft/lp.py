@@ -13,7 +13,9 @@ only in bodies still enter the universe (they must be expressible as false).
 Text is parsed by one reader: its characters are checked with one regular
 expression, it is split once into words and punctuation marks, and that
 list is read front to back; only when a word is wrong is the text
-tokenized, to report the error's position.
+tokenized, to report the error's position. The same loop fills the rule
+tables that ``fitting`` reads (``LogicProgram.tables``), and a parsed
+program's ``Rule`` objects are built only when its ``rules`` are asked for.
 
 The module provides the two-valued one-step consequence operator, its
 four-valued bracketing approximator evaluated on all pairs by the same
@@ -28,6 +30,7 @@ one pass of three-valued propagation over the same rule tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import threading
@@ -56,7 +59,17 @@ class Rule:
 
 
 class LogicProgram:
-    """An ordered list of rules over the universe of occurring atoms."""
+    """An ordered list of rules over the universe of occurring atoms.
+
+    A program holds its rule tables (``tables``): each rule's head and the
+    number of distinct atoms in its positive body, and per atom the indices
+    of the rules with it in their positive body and of those with it in
+    their negative body. ``parse_program`` fills them as it reads, and a
+    parsed program's ``rules`` are built from them, by inverting the watch
+    lists, when first asked for; so a parsed program that only ``fitting``
+    reads builds no ``Rule``. A program built from rules, the library
+    constructor, gets its tables from ``_rule_tables`` when first asked.
+    """
 
     def __init__(self, rules):
         self.rules = tuple(rules)
@@ -66,6 +79,28 @@ class LogicProgram:
             atoms |= r.pos
             atoms |= r.neg
         self.atoms = frozenset(atoms)
+
+    @classmethod
+    def _from_tables(cls, heads, sizes, pos_watch, neg_watch) -> LogicProgram:
+        program = cls.__new__(cls)
+        program.tables = heads, sizes, pos_watch, neg_watch
+        program.atoms = frozenset(heads).union(pos_watch, neg_watch)
+        return program
+
+    @functools.cached_property
+    def tables(self):
+        return _rule_tables(self)
+
+    @functools.cached_property
+    def rules(self) -> tuple:
+        heads, _, pos_watch, neg_watch = self.tables
+        pos = [[] for _ in heads]
+        neg = [[] for _ in heads]
+        for bodies, watch in ((pos, pos_watch), (neg, neg_watch)):
+            for atom, watchers in watch.items():
+                for i in watchers:
+                    bodies[i].append(atom)
+        return tuple(Rule(h, frozenset(p), frozenset(n)) for h, p, n in zip(heads, pos, neg))
 
     def to_text(self) -> str:
         return "\n".join(r.to_text() for r in self.rules)
@@ -152,16 +187,26 @@ def parse_program(text: str) -> LogicProgram:
     front to back; only when a word is wrong is the text tokenized, to place
     the error. A name is any word that starts with a lowercase letter: in
     this alphabet, exactly the words that compare at least ``"a"``.
+
+    The same loop fills the program's rule tables, the ones ``fitting``
+    reads; no ``Rule`` is built until the program's ``rules`` are asked for.
+    Watch lists grow in rule order, so an atom that a rule repeats finds
+    that rule's index already at the end of its list, and is watched and
+    counted once, as in a body's set.
     """
     words = _words(text)
-    rules = []
+    heads: list[str] = []
+    sizes: list[int] = []
+    pos_watch: dict[str, list[int]] = {}
+    neg_watch: dict[str, list[int]] = {}
     end = len(words) - 1
     i = 0
     while i < end:
         head = words[i]
         if head < "a" or head == "not":
             raise _atom_error(text, i, head)
-        pos, neg = [], []
+        rule = len(heads)
+        size = 0
         i += 1
         if words[i] == ":-":
             while True:
@@ -172,19 +217,30 @@ def parse_program(text: str) -> LogicProgram:
                     atom = words[i]
                     if atom < "a" or atom == "not":
                         raise _atom_error(text, i, atom)
-                    neg.append(atom)
+                    watchers = neg_watch.get(atom)
+                    if watchers is None:
+                        neg_watch[atom] = [rule]
+                    elif watchers[-1] != rule:
+                        watchers.append(rule)
                 elif atom < "a":
                     raise _atom_error(text, i, atom)
                 else:
-                    pos.append(atom)
+                    watchers = pos_watch.get(atom)
+                    if watchers is None:
+                        pos_watch[atom] = [rule]
+                        size += 1
+                    elif watchers[-1] != rule:
+                        watchers.append(rule)
+                        size += 1
                 i += 1
                 if words[i] != ",":
                     break
         if words[i] != ".":
             raise _syntax_error(text, i, "expected '.'")
         i += 1
-        rules.append(Rule(head, frozenset(pos), frozenset(neg)))
-    return LogicProgram(rules)
+        heads.append(head)
+        sizes.append(size)
+    return LogicProgram._from_tables(heads, sizes, pos_watch, neg_watch)
 
 
 def _atom_error(text: str, index: int, word: str) -> ParseError:
@@ -229,8 +285,9 @@ def tp(program: LogicProgram, lattice: PowersetLattice | None = None) -> Lattice
 
 
 def _rule_tables(program: LogicProgram):
-    """The rule tables the lower step reads: each rule's head and the size
-    of its positive body, and per atom the indices of the rules with it in
+    """The rule tables the lower step reads, of a program built from rules
+    (a parsed program's are the parser's): each rule's head and the size of
+    its positive body, and per atom the indices of the rules with it in
     their positive body and of those with it in their negative body."""
     heads, sizes = [], []
     pos_watch: dict[str, list[int]] = {}
@@ -465,10 +522,14 @@ def fitting(program: LogicProgram, lattice: PowersetLattice | None = None) -> Ap
     fixpoint at y, the least model of the reduct by y, is the ``revision``
     hook. Its Kripke-Kleene fixpoint is computed by one propagation over the
     same tables (``_kripke_kleene``), which ``fixpoints.kripke_kleene``
-    calls when no trace is wanted.
+    calls when no trace is wanted. The tables are the program's own
+    (``program.tables``), filled by the parser, so building the operator
+    reads no ``Rule``; ``tp``'s dependencies, which evaluate the operator
+    itself and which ``ultimate`` and ``convex-kk`` read, build the
+    program's rules when first asked for.
     """
     op = tp(program, lattice)
-    tables = _rule_tables(program)
+    tables = program.tables
     lower, least_fixpoint = _lower_step(*tables)
     upper, _ = _lower_step(*tables)
     # the pair both instances' counts stand for; the lock keeps an

@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aft
+import aft.lp
 from aft.adf import FORMULA_DEPTH_LIMIT, Adf, classical_operator, parse_adf, program_to_adf
+from aft.approx import ultimate
 from aft.cli import _json_text, _text, build_parser, main
 from aft.convex import convex_kripke_kleene
-from aft.corpus import random_program
+from aft.corpus import random_program, random_programs
 from aft.fixpoints import kripke_kleene, stable_models, well_founded
 from aft.lattice import Lattice, PowersetLattice
 from aft.lp import fitting, parse_program, tp
@@ -406,6 +408,32 @@ def test_requests_check_no_value_the_engine_computes(capsys, monkeypatch):
     # the law checks refuse the 16-atom cycle
     assert codes == [0] * 8 + [0, 0, 1, 1] + [0] * 4
     assert checked == []
+
+
+def test_untraced_kk_wf_builds_no_rule(capsys, monkeypatch):
+    # an untraced kk,wf request reads only the rule tables the parser fills;
+    # the views that read rules build them from the tables when asked, and
+    # answer as the program built from Rule objects does
+    programs = random_programs(40, seed=36, min_atoms=1, max_atoms=6)
+    texts = [p.to_text() for p in programs] + [negation_chain(20), CHAIN, EVEN_CYCLE]
+    built = []
+    rule = aft.lp.Rule
+    monkeypatch.setattr("aft.lp.Rule", lambda *args: built.append(args) or rule(*args))
+    for text in texts:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "lp", "-", "--semantics", "kk,wf", "--format", "json")
+        assert code == 0 and json.loads(out)["kk"]
+    assert built == []
+    for prog in programs:
+        parsed = parse_program(prog.to_text())
+        for view in (
+            lambda p: kripke_kleene(ultimate(tp(p)), trace=False)[0],
+            lambda p: convex_kripke_kleene(tp(p))[0],
+            program_to_adf,
+        ):
+            assert view(parsed) == view(prog)
+    # the count sees the rules that a parsed program builds when asked
+    assert built
 
 
 class TestWellFoundedSeededFromKripkeKleene:

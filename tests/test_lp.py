@@ -16,6 +16,7 @@ from aft.lp import (
     LogicProgram,
     Rule,
     _definite_lfp,
+    _rule_tables,
     fitting,
     gl_reduct,
     parse_program,
@@ -243,6 +244,58 @@ def programs(draw):
 @given(programs())
 def test_round_trip_generated(prog):
     assert parse_program(prog.to_text()) == prog
+
+
+def text_with_repeats(rng):
+    """A program text whose bodies may repeat a literal or name an atom both
+    ways, with facts and atoms that occur only in bodies, and the program of
+    ``Rule`` objects it stands for."""
+    lines, rules = [], []
+    for _ in range(rng.randint(0, 8)):
+        head = rng.choice("pqr")
+        body = [(rng.random() < 0.5, rng.choice("pqrst")) for _ in range(rng.choice([0, 0, 1, 2, 3, 4]))]
+        words = [f"not {a}" if negated else a for negated, a in body]
+        lines.append(f"{head} :- {', '.join(words)}." if words else f"{head}.")
+        pos = frozenset(a for negated, a in body if not negated)
+        neg = frozenset(a for negated, a in body if negated)
+        rules.append(Rule(head, pos, neg))
+    return "\n".join(lines), LogicProgram(rules)
+
+
+def assert_parsed_as(text, built):
+    # the parser's tables are those of the program built from rules, and
+    # the rules built from them give every view the rules give
+    parsed = parse_program(text)
+    assert parsed.tables == _rule_tables(built)
+    assert parsed.atoms == built.atoms
+    assert parse_program(text) == built
+    assert parsed.rules == built.rules
+    assert hash(parsed) == hash(built)
+    assert parsed.to_text() == built.to_text()
+    assert repr(parsed) == repr(built)
+
+
+@pytest.mark.parametrize(
+    "text,rules",
+    [
+        ("p :- q, q.", [Rule("p", fs("q"))]),
+        ("p :- not q, not q.", [Rule("p", fs(), fs("q"))]),
+        ("p :- q, not q.", [Rule("p", fs("q"), fs("q"))]),
+        ("p :- q, not q, q, not q.", [Rule("p", fs("q"), fs("q"))]),
+        ("p. p :- p, p. q :- not r, s, not r.", [Rule("p"), Rule("p", fs("p")), Rule("q", fs("s"), fs("r"))]),
+        ("", []),
+    ],
+)
+def test_parser_tables_equal_the_rule_tables_on_examples(text, rules):
+    assert_parsed_as(text, LogicProgram(rules))
+
+
+def test_parser_tables_equal_the_rule_tables_on_seeded_programs():
+    rng = random.Random(36)
+    for _ in range(300):
+        assert_parsed_as(*text_with_repeats(rng))
+    for prog in random_programs(300, seed=36, min_atoms=1, max_atoms=8):
+        assert_parsed_as(prog.to_text(), prog)
 
 
 class TestTp:
